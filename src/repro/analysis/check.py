@@ -158,7 +158,8 @@ class _StepRecord:
     def __init__(self, when: float, seq: int):
         self.when = when
         self.seq = seq
-        #: process identity within this run (independence check)
+        #: ``pid`` of each resumed process (independence check; ``id()``
+        #: would conflate a finished process with a later one)
         self.resumed_ids: Set[int] = set()
         #: stable code names (fingerprint labels, comparable across runs)
         self.resumed_names: Set[str] = set()
@@ -237,7 +238,7 @@ class ControlledScheduler:
         code = getattr(gen, "gi_code", None)
         name = getattr(code, "co_qualname",
                        getattr(code, "co_name", "process"))
-        self._current.resumed_ids.add(id(process))
+        self._current.resumed_ids.add(process.pid)
         self._current.resumed_names.add(name)
 
     # -- heap monitor protocol -------------------------------------------

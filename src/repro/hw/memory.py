@@ -19,8 +19,7 @@ Two distinct facilities live here:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 import numpy as np
 
@@ -28,10 +27,10 @@ from ..errors import OutOfMemory, ReproError
 from ..units import PAGE_SIZE
 
 
-@dataclass(frozen=True)
-class Extent:
+class Extent(NamedTuple):
     """A run of physically contiguous frames: ``count`` frames from
-    ``start`` (frame numbers, not byte addresses)."""
+    ``start`` (frame numbers, not byte addresses).  A named tuple, so the
+    hundreds of thousands a scattered workload makes are cheap to build."""
 
     start: int
     count: int
@@ -105,17 +104,29 @@ class FrameAllocator:
         if n_frames > self.free_frames:
             raise OutOfMemory(f"{self.name}: want {n_frames} frames, "
                               f"only {self.free_frames} free")
+        # Greedy: take free intervals largest first (ties to the lowest
+        # start), ranked once; only the last one taken can be partial.
+        free = self._free
+        lengths = [end - start for start, end in free]
         got: List[Extent] = []
+        taken: Set[int] = set()  # intervals used up whole
         need = n_frames
-        # Greedy: repeatedly take the largest free interval.
-        while need > 0:
-            idx = max(range(len(self._free)),
-                      key=lambda i: self._free[i][1] - self._free[i][0])
-            start, end = self._free[idx]
+        for idx in sorted(range(len(free)), key=lengths.__getitem__,
+                          reverse=True):
+            start, end = free[idx]
             take = min(need, end - start)
-            self._carve(idx, start, start + take)
             got.append(Extent(start, take))
             need -= take
+            if take < end - start:
+                free[idx] = [start + take, end]
+            else:
+                taken.add(idx)
+            if need == 0:
+                break
+        if taken:
+            self._free = [iv for idx, iv in enumerate(free)
+                          if idx not in taken]
+        self.allocated_frames += n_frames
         return got
 
     def alloc_scattered(self, n_frames: int,
@@ -126,7 +137,8 @@ class FrameAllocator:
 
         Runs have geometric length with parameter ``contig_prob`` (expected
         run ``1/(1-contig_prob)``), separated by single-frame holes.  One
-        sweep over the free list, O(n) in frames allocated.  Under memory
+        sweep over just the free intervals it takes from, O(n) in frames
+        allocated; the leftovers are spliced back in place.  Under memory
         pressure the remainder is taken contiguously from the holes —
         which is also what a real buddy allocator degrades to.
         """
@@ -135,84 +147,129 @@ class FrameAllocator:
         if n_frames > self.free_frames:
             raise OutOfMemory(f"{self.name}: want {n_frames} frames, "
                               f"only {self.free_frames} free")
-        extents: List[Extent] = []
-        new_free: List[List[int]] = []
-        need = n_frames
+        free = self._free
         # start the sweep at a random free interval so successive
         # allocations land in different regions
-        rotation = int(rng.integers(0, len(self._free))) if self._free else 0
-        order = self._free[rotation:] + self._free[:rotation]
-        for start, end in order:
+        rotation = int(rng.integers(0, len(free)))
+        # Run-extension coins are drawn in one batch; a run of r frames
+        # uses at most r coins, so n_frames coins always suffice.  Each
+        # run still consumes exactly the coins the one-at-a-time draw
+        # would (r - 1 successes, plus the failing coin unless the run hit
+        # its cap), and the generator is rewound to consume just those.
+        state = rng.bit_generator.state
+        fails = np.flatnonzero(rng.random(n_frames) >= contig_prob).tolist()
+        fails.append(n_frames)  # sentinel: never reached (see above)
+        coin = fail = 0  # next coin to use; index into ``fails``
+        extents: List[Extent] = []
+        # what is left of the swept intervals: holes and tails, each a
+        # strict sub-range of its interval, so never adjacent to another
+        high: List[List[int]] = []  # intervals from ``rotation`` on
+        low: List[List[int]] = []   # intervals swept after wrapping round
+        left = high
+        need = n_frames
+        idx = rotation
+        # sweep from ``rotation`` to the end, then wrap round up to it
+        while need > 0 and (left is high or idx < rotation):
+            if idx == len(free):
+                idx, left = 0, low
+                continue
+            start, end = free[idx]
+            idx += 1
             pos = start
             while pos < end and need > 0:
-                run = 1
-                while (run < need and pos + run < end
-                       and rng.random() < contig_prob):
-                    run += 1
-                take = min(run, need, end - pos)
-                extents.append(Extent(pos, take))
-                need -= take
-                pos += take
+                cap = min(need, end - pos)
+                successes = fails[fail] - coin
+                if successes >= cap - 1:
+                    run = cap
+                    coin += cap - 1
+                else:
+                    run = successes + 1
+                    coin += run
+                    fail += 1
+                extents.append(Extent(pos, run))
+                need -= run
+                pos += run
                 if pos < end and need > 0:
-                    new_free.append([pos, pos + 1])  # leave a hole
+                    left.append([pos, pos + 1])  # leave a hole
                     pos += 1
             if pos < end:
-                new_free.append([pos, end])
+                left.append([pos, end])
+        rng.bit_generator.state = state
+        rng.random(coin)
         if need > 0:
             # memory pressure: fill from the holes we just left
-            for interval in new_free:
+            for interval in high + low:
                 if need == 0:
                     break
                 take = min(need, interval[1] - interval[0])
                 extents.append(Extent(interval[0], take))
                 interval[0] += take
                 need -= take
+            high = [iv for iv in high if iv[0] < iv[1]]
+            low = [iv for iv in low if iv[0] < iv[1]]
         if need > 0:
             raise OutOfMemory(f"{self.name}: accounting bug, "
                               f"{need} frames short")
-        # rebuild the free list: sorted, merged, non-empty
-        new_free = sorted(iv for iv in new_free if iv[0] < iv[1])
-        merged: List[List[int]] = []
-        for iv in new_free:
-            if merged and merged[-1][1] == iv[0]:
-                merged[-1][1] = iv[1]
-            else:
-                merged.append(iv)
-        self._free = merged
+        # splice the leftovers over the swept intervals
+        if left is high:
+            free[rotation:idx] = high
+        else:
+            self._free = low + free[idx:rotation] + high
         self.allocated_frames += n_frames
         return extents
 
     # -- freeing -------------------------------------------------------------
 
     def free(self, extents: Iterable[Extent]) -> None:
-        """Return extents to the free pool (must have been allocated)."""
-        for ext in extents:
-            self._free_one(ext)
+        """Return extents to the free pool (must have been allocated).
 
-    def _free_one(self, ext: Extent) -> None:
+        One sort of the batch plus one merge pass into the free list,
+        O(F + k log k) for F free intervals and k extents.  The whole batch
+        is checked before anything changes: an empty or out-of-range
+        extent, two extents of the batch that overlap, or an extent
+        overlapping free space (double free) raise :class:`ReproError` and
+        leave the allocator as it was.
+        """
+        batch = sorted(self._free_one(ext) for ext in extents)
+        if not batch:
+            return
+        old = self._free
+        merged: List[List[int]] = []
+        copied = 0  # old intervals before this index are in ``merged``
+        for start, end in batch:
+            # old intervals starting at or before ``start`` precede it
+            idx = bisect.bisect_left(old, [start + 1], copied)
+            merged.extend(old[copied:idx])
+            copied = idx
+            # the tail so far holds both free intervals and the batch's
+            # earlier extents, so this catches overlaps within the batch
+            if merged and merged[-1][1] >= start:
+                if merged[-1][1] > start:
+                    raise ReproError(
+                        f"double free: extent [{start}, {end}) overlaps "
+                        f"{tuple(merged[-1])}, free or freed in this batch")
+                merged[-1] = [merged[-1][0], end]
+            else:
+                merged.append([start, end])
+            if copied < len(old) and old[copied][0] <= end:
+                if old[copied][0] < end:
+                    raise ReproError(
+                        f"double free: extent [{start}, {end}) overlaps "
+                        f"free interval {tuple(old[copied])}")
+                merged[-1] = [merged[-1][0], old[copied][1]]
+                copied += 1
+        merged.extend(old[copied:])
+        self._free = merged
+        self.allocated_frames -= sum(end - start for start, end in batch)
+
+    def _free_one(self, ext: Extent) -> Tuple[int, int]:
+        """Check one extent of a batch being freed; its ``(start, end)``."""
         if ext.count <= 0:
             raise ReproError(f"freeing empty extent {ext}")
         if ext.start < self.base_frame or \
                 ext.end > self.base_frame + self.total_frames:
             raise ReproError(f"extent {ext} outside memory")
-        starts = [s for s, _ in self._free]
-        idx = bisect.bisect_right(starts, ext.start)
-        # Overlap checks against neighbours (double-free detection).
-        if idx > 0 and self._free[idx - 1][1] > ext.start:
-            raise ReproError(f"double free: {ext} overlaps free interval "
-                             f"{tuple(self._free[idx - 1])}")
-        if idx < len(self._free) and self._free[idx][0] < ext.end:
-            raise ReproError(f"double free: {ext} overlaps free interval "
-                             f"{tuple(self._free[idx])}")
-        self._free.insert(idx, [ext.start, ext.end])
-        self.allocated_frames -= ext.count
-        # Merge with neighbours.
-        if idx + 1 < len(self._free) and self._free[idx][1] == self._free[idx + 1][0]:
-            self._free[idx][1] = self._free[idx + 1][1]
-            del self._free[idx + 1]
-        if idx > 0 and self._free[idx - 1][1] == self._free[idx][0]:
-            self._free[idx - 1][1] = self._free[idx][1]
-            del self._free[idx]
+        return ext.start, ext.end
 
     # -- internals -------------------------------------------------------------
 

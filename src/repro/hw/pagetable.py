@@ -10,17 +10,16 @@ these spans directly and builds SDMA requests up to 10KB (section 3.4).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from ..errors import PageFault, ReproError
 from ..units import LARGE_PAGE_SIZE, PAGE_SIZE
 from .memory import Extent
 
 
-@dataclass(frozen=True)
-class Mapping:
-    """One page-table entry at natural granularity."""
+class Mapping(NamedTuple):
+    """One page-table entry at natural granularity (a named tuple: cheap
+    to build one per 4KB page)."""
 
     vaddr: int       # virtual start (aligned to page_size)
     paddr: int       # physical start (aligned to page_size)
@@ -75,10 +74,19 @@ class PageTable:
         an extent is installed as a single large-page entry (McKernel's
         policy); the ragged edges fall back to 4KB entries.
         Returns the end virtual address.
+
+        The new entries are checked for overlap once, against the
+        neighbours of the whole target range, and spliced in with one
+        slice assignment; on any error the table is left unchanged.
         """
+        if vaddr % PAGE_SIZE:
+            raise ReproError(f"unaligned mapping va={vaddr:#x}")
+        new: List[Mapping] = []
         va = vaddr
         for ext in extents:
             pa, nbytes = ext.start * frame_size, ext.count * frame_size
+            if pa % PAGE_SIZE or nbytes % PAGE_SIZE:
+                raise ReproError(f"unaligned extent {ext} at va={va:#x}")
             while nbytes:
                 if (use_large_pages and va % LARGE_PAGE_SIZE == 0
                         and pa % LARGE_PAGE_SIZE == 0
@@ -86,30 +94,39 @@ class PageTable:
                     step = LARGE_PAGE_SIZE
                 else:
                     step = PAGE_SIZE
-                self.map_page(va, pa, step, pinned)
+                new.append(Mapping(va, pa, step, pinned))
                 va += step
                 pa += step
                 nbytes -= step
+        if not new:
+            return va
+        idx = bisect.bisect_left(self._vaddrs, vaddr)
+        if (idx < len(self._maps) and self._maps[idx].vaddr < va) or \
+                (idx > 0 and self._maps[idx - 1].vend > vaddr):
+            raise ReproError(f"mapping overlap in [{vaddr:#x}, {va:#x})")
+        self._vaddrs[idx:idx] = [m.vaddr for m in new]
+        self._maps[idx:idx] = new
         return va
 
     def unmap_range(self, vaddr: int, length: int) -> List[Extent]:
         """Remove all mappings intersecting ``[vaddr, vaddr+length)``;
-        returns the physical extents released (frame numbers)."""
-        released: List[Extent] = []
-        idx = bisect.bisect_right(self._vaddrs, vaddr) - 1
-        if idx < 0 or self._maps[idx].vend <= vaddr:
-            idx += 1
-        while idx < len(self._maps) and self._maps[idx].vaddr < vaddr + length:
-            m = self._maps[idx]
+        returns the physical extents released (frame numbers), one per
+        page in address order.  A page only partly inside the range
+        raises and leaves the table unchanged."""
+        lo = bisect.bisect_right(self._vaddrs, vaddr) - 1
+        if lo < 0 or self._maps[lo].vend <= vaddr:
+            lo += 1
+        hi = bisect.bisect_left(self._vaddrs, vaddr + length, lo)
+        run = self._maps[lo:hi]
+        for m in run[:1] + run[-1:]:
             if m.vaddr < vaddr or m.vend > vaddr + length:
                 raise ReproError(
                     f"partial unmap of a {m.page_size}-byte page at "
                     f"{m.vaddr:#x} (range [{vaddr:#x}, +{length:#x}))")
-            released.append(Extent(m.paddr // PAGE_SIZE,
-                                   m.page_size // PAGE_SIZE))
-            del self._vaddrs[idx]
-            del self._maps[idx]
-        return released
+        del self._vaddrs[lo:hi]
+        del self._maps[lo:hi]
+        return [Extent(m.paddr // PAGE_SIZE, m.page_size // PAGE_SIZE)
+                for m in run]
 
     # -- lookup ------------------------------------------------------------
 
@@ -118,7 +135,7 @@ class PageTable:
         idx = bisect.bisect_right(self._vaddrs, vaddr) - 1
         if idx >= 0:
             m = self._maps[idx]
-            if m.vaddr <= vaddr < m.vend:
+            if vaddr < m.vaddr + m.page_size:  # and m.vaddr <= vaddr
                 return m
         raise PageFault(self.owner, vaddr, "no mapping")
 

@@ -169,6 +169,7 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list = []
         self._seq = count()
+        self._pids = count()
         self._wait_monitor = None
         self._scheduler = None
         #: the :class:`~repro.sim.process.Process` whose generator is

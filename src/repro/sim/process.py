@@ -25,13 +25,17 @@ class Interrupt(Exception):
 class Process(Event):
     """An event that completes when its generator returns."""
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen", "_waiting_on", "pid")
 
     def __init__(self, sim: Simulator, gen: Generator):
         if not hasattr(gen, "send"):
             raise SimError(f"process body must be a generator, got {gen!r}")
         super().__init__(sim)
         self._gen = gen
+        #: serial number within the simulator; unlike ``id()``, which
+        #: CPython hands to a new object once the old one is freed, never
+        #: reused
+        self.pid = next(sim._pids)
         self._waiting_on: Event = sim.timeout(0.0)
         self._waiting_on.add_callback(self._resume)
 

@@ -187,6 +187,44 @@ def test_scheduler_records_footprints_and_choices():
     assert scheduler.steps == []  # the unit above was never installed
 
 
+def test_scheduler_never_conflates_recycled_processes():
+    """Processes created and freed one after another usually share an
+    ``id()``; the footprint must still tell them apart."""
+    from repro.sim import Simulator
+    sim = Simulator()
+    scheduler = ControlledScheduler(Schedule.empty())
+    sim.scheduler = scheduler
+
+    def body():
+        yield sim.timeout(1.0)
+
+    for _ in range(20):
+        sim.process(body())
+        sim.run()
+    keys = set().union(*(rec.resumed_ids for rec in scheduler.steps))
+    assert len(keys) == 20
+
+
+def test_pingpong_exploration_counts_repeat_in_one_process():
+    """Two explorations in one interpreter give the same counts as the
+    committed benchmark reference.  Independence used to key on
+    ``id(process)``, which CPython reuses, so counts drifted between
+    passes (43 vs 49 runs on ``mckernel``)."""
+    from repro.analysis.check import SMOKE_BOUNDS
+    path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                        "perfbench", "reference.json")
+    with open(path) as fh:
+        reference = json.load(fh)["explore"]
+    for _ in range(2):
+        result = run_check("pingpong", bounds=SMOKE_BOUNDS)
+        counts = {o.config: {"runs": o.runs, "explored": o.explored,
+                             "deduped": o.deduped, "reduced": o.reduced}
+                  for o in result.outcomes}
+        assert counts == {cfg: {key: ref[key] for key in counts[cfg]}
+                          for cfg, ref in reference.items()}
+        assert all(c["runs"] == 43 for c in counts.values())
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def test_cmd_check_fixture_exit_zero(tmp_path, capsys):

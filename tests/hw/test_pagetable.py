@@ -145,3 +145,140 @@ def test_phys_spans_cover_exactly_the_requested_bytes(n_pages, seed, offset):
     # spans are maximal: consecutive spans are never physically adjacent
     for (p1, n1), (p2, _) in zip(spans, spans[1:]):
         assert p1 + n1 != p2
+
+
+# --- batched map_extents / unmap_range vs the per-page model -------------------
+
+def reference_map_extents(pt, vaddr, extents, pinned, use_large_pages):
+    """Per-page model of ``map_extents``: one ``map_page`` per entry."""
+    va = vaddr
+    for ext in extents:
+        pa, nbytes = ext.start * PAGE_SIZE, ext.count * PAGE_SIZE
+        while nbytes:
+            step = PAGE_SIZE
+            if (use_large_pages and va % LARGE_PAGE_SIZE == 0
+                    and pa % LARGE_PAGE_SIZE == 0
+                    and nbytes >= LARGE_PAGE_SIZE):
+                step = LARGE_PAGE_SIZE
+            pt.map_page(va, pa, step, pinned)
+            va += step
+            pa += step
+            nbytes -= step
+    return va
+
+
+def reference_unmap(pt, vaddr, length):
+    """Per-page model of ``unmap_range`` over a table built by
+    ``map_page``: look each entry up, release it, rebuild the rest."""
+    kept, released = [], []
+    for m in entries(pt):
+        if m.vend <= vaddr or m.vaddr >= vaddr + length:
+            kept.append(m)
+        elif m.vaddr < vaddr or m.vend > vaddr + length:
+            raise ReproError("partial unmap")
+        else:
+            released.append(Extent(m.paddr // PAGE_SIZE,
+                                   m.page_size // PAGE_SIZE))
+    fresh = PageTable(pt.owner)
+    for m in kept:
+        fresh.map_page(m.vaddr, m.paddr, m.page_size, m.pinned)
+    return fresh, released
+
+
+def entries(pt, limit=1 << 32):
+    """Every entry of ``pt`` in address order, through the public lookup."""
+    out, va = [], 0
+    while va < limit and len(out) < len(pt):
+        try:
+            m = pt.lookup(va)
+        except PageFault:
+            va += PAGE_SIZE
+            continue
+        out.append(m)
+        va = m.vend
+    return out
+
+
+LP_FRAMES = LARGE_PAGE_SIZE // PAGE_SIZE
+
+#: page or frame numbers, 2MB-aligned half the time so large pages occur
+page_number = st.one_of(st.integers(0, 3 * LP_FRAMES),
+                        st.integers(0, 3).map(lambda k: k * LP_FRAMES))
+region = st.tuples(
+    page_number,                                           # virtual start
+    st.lists(st.tuples(page_number,
+                       st.one_of(st.integers(0, 24),
+                                 st.integers(LP_FRAMES, LP_FRAMES + 24))),
+             min_size=0, max_size=4),                      # extents
+    st.booleans())                                         # pinned
+
+
+@given(regions=st.lists(region, min_size=1, max_size=5),
+       large=st.booleans(),
+       cut=st.tuples(st.integers(0, 4 * LP_FRAMES),
+                     st.integers(0, 2 * LP_FRAMES)))
+@settings(max_examples=40, deadline=None)
+def test_batched_map_and_unmap_match_per_page_model(regions, large, cut):
+    pt, ref = PageTable("batch"), PageTable("model")
+    for page, spans, pinned in regions:
+        extents = [Extent(start, count) for start, count in spans]
+        vaddr = page * PAGE_SIZE
+        try:
+            expect = reference_map_extents(PageTable("probe"), vaddr,
+                                           extents, pinned, large)
+            for m in entries(pt):
+                if m.vaddr < expect and vaddr < m.vend:
+                    raise ReproError("overlap")
+        except ReproError:
+            before = entries(pt)
+            with pytest.raises(ReproError):
+                pt.map_extents(vaddr, extents, pinned=pinned,
+                               use_large_pages=large)
+            assert entries(pt) == before
+            continue
+        assert pt.map_extents(vaddr, extents, pinned=pinned,
+                              use_large_pages=large) == expect
+        reference_map_extents(ref, vaddr, extents, pinned, large)
+        assert len(pt) == len(ref)
+        assert entries(pt) == entries(ref)
+    vaddr, length = cut[0] * PAGE_SIZE, cut[1] * PAGE_SIZE
+    try:
+        ref, expect = reference_unmap(ref, vaddr, length)
+    except ReproError:
+        before = entries(pt)
+        with pytest.raises(ReproError):
+            pt.unmap_range(vaddr, length)
+        assert entries(pt) == before
+        return
+    assert pt.unmap_range(vaddr, length) == expect
+    assert len(pt) == len(ref)
+    assert entries(pt) == entries(ref)
+
+
+def test_overlapping_map_extents_leaves_table_unchanged():
+    pt = PageTable("test")
+    pt.map_extents(4 * PAGE_SIZE, [Extent(100, 2)])
+    before = entries(pt)
+    for vaddr in (0, 5 * PAGE_SIZE):
+        with pytest.raises(ReproError):
+            # the first pages would fit; a later one hits the mapping
+            pt.map_extents(vaddr, [Extent(10, 3), Extent(50, 4)])
+        assert entries(pt) == before
+    assert pt.map_extents(0, [Extent(10, 4)]) == 4 * PAGE_SIZE
+    assert len(pt) == 6
+    # starting inside a large page: only the left neighbour overlaps
+    pt.map_page(LARGE_PAGE_SIZE, 0, LARGE_PAGE_SIZE)
+    before = entries(pt)
+    with pytest.raises(ReproError):
+        pt.map_extents(LARGE_PAGE_SIZE + PAGE_SIZE, [Extent(10, 1)])
+    assert entries(pt) == before
+
+
+def test_failed_partial_unmap_leaves_table_unchanged():
+    pt = PageTable("test")
+    pt.map_extents(0, [Extent(7, 3)])
+    pt.map_page(LARGE_PAGE_SIZE, 0, LARGE_PAGE_SIZE)
+    before = entries(pt)
+    with pytest.raises(ReproError):
+        pt.unmap_range(0, LARGE_PAGE_SIZE + PAGE_SIZE)
+    assert entries(pt) == before
