@@ -22,9 +22,10 @@ concurrently mutating the same Linux driver state (section 3.3):
   (``repro.config.ANALYSIS.lockdep`` or ``python -m repro lockdep``)
   builds the observed lock-class dependency graph and reports order
   cycles, declared-hierarchy violations, IRQ inversions and timed
-  waits inside critical sections; a static ``ast`` twin
-  (``python -m repro lockgraph``, lint rules PD008/PD009) extracts the
-  compile-time graph the dynamic edges are checked against.
+  waits inside critical sections; a static held-lock walk
+  (``python -m repro lockgraph``, lint rules PD008/PD009, and the held
+  sets of ``python -m repro vet``) extracts the compile-time graph the
+  dynamic edges are checked against.
 """
 
 from .ksan import (ACTIVE_DETECTORS, HeapAccess, RaceDetector, RaceReport,

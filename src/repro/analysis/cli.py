@@ -157,9 +157,7 @@ def cmd_lockdep(argv: List[str],
         print()
         print(report.render())
     graph, _findings = lockdep_mod.build_static_lock_graph()
-    missing = [edge for key, edge
-               in sorted(lockdep_mod.active_dynamic_edges().items())
-               if not graph.has_edge(*key)]
+    missing, _classes = lockdep_mod.uncontained_lock_facts(graph)
     if missing:
         print("\ndynamic edges missing from the static lock graph "
               "(the static pass is blind to them):")

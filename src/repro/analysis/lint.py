@@ -31,7 +31,7 @@ PD007    fault-hook gating: every fault-injection draw (``*.fires(...)``)
          branch-cheap and bit-identical
 PD008    lock-order hierarchy: nested ``acquire`` must follow the
          rank-increasing order declared in ``repro.core.lockclasses``
-         (checked by the static half of :mod:`repro.analysis.lockdep`)
+         (checked on the held-lock walk of :mod:`repro.analysis.lockdep`)
 PD009    no timed wait in a critical section: no ``yield *.timeout/
          wait(...)`` while a cross-kernel lock is held — the peer
          kernel spins on the lock word for the whole wait
@@ -77,7 +77,8 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Sequence, Set, Tuple)
 
 #: rule code -> (title, fix-it hint)
 RULES: Dict[str, Tuple[str, str]] = {
@@ -451,31 +452,85 @@ def _refs_config(node: ast.AST, config_names: Iterable[str]) -> bool:
     return False
 
 
-def _check_config_gating(path: str, tree: ast.AST,
-                         findings: List[Finding],
-                         config_names: Tuple[str, ...],
-                         attrs: Iterable[str], code: str,
-                         describe: str) -> None:
-    """Shared gating pass behind PD007, PD011 and PD012.
+class _Gate(NamedTuple):
+    """One opt-in-plane hook surface that must sit behind its gate."""
 
-    A call ``*.<attr>(...)`` with ``attr`` in ``attrs`` is considered
-    guarded when it sits in the body of an ``if`` (or the then-branch of
-    a conditional expression) whose test references any name in
-    ``config_names``, or — matching the hooks' actual idiom — when it
-    appears in an ``and`` chain *after* an operand that references one,
-    as in ``if FAULTS.enabled and inj and inj.fires(...)``.
+    code: str
+    describe: str                  #: what one hook call is
+    names: Tuple[str, ...]         #: names whose test counts as a gate
+    attrs: FrozenSet[str]          #: the hook method names
+    #: (path parts, basename) -> True where the rule applies
+    applies: Callable[[List[str], str], bool]
+
+
+#: the config-gating rules, one row each: a zero-cost opt-in plane must
+#: leave runs without it branch-cheap and bit-identical, so every call
+#: of its hook surface sits behind its config flag or an is-installed
+#: test (``if self.scheduler is not None``, ``if guard is not None``)
+_GATES: Tuple[_Gate, ...] = (
+    _Gate("PD007", "fault-injection draw", ("FAULTS",),
+          frozenset({"fires"}), lambda parts, base: True),
+    # repro/obs is exempt: the collector's own methods and the
+    # exporters necessarily call the emission surface unconditionally
+    _Gate("PD011", "span emission", ("TRACE",),
+          frozenset({"begin_span", "end_span", "instant_span",
+                     "complete_span", "add_flow"}),
+          lambda parts, base: "obs" not in parts),
+    # the model checker itself (repro/analysis/check*.py) is exempt:
+    # the explorer and its fixtures drive the hooks by design
+    _Gate("PD012", "controlled-scheduler hook",
+          ("ANALYSIS", "check", "scheduler"),
+          frozenset({"choose_ready", "on_step_begin", "on_step_end",
+                     "on_process_resumed"}),
+          lambda parts, base: not ("analysis" in parts
+                                   and base.startswith("check"))),
+    # the guard plane itself (repro/guard) is exempt: the manager,
+    # breakers and gates call each other's hooks by design
+    _Gate("PD013", "guard-plane hook", ("GUARD", "guard"),
+          frozenset({"record_success", "record_failure", "admits",
+                     "pick_healthy_engine", "park_if_suspended",
+                     "acquire_slots", "release_slots"}),
+          lambda parts, base: "guard" not in parts),
+    # scoped to the replicated-storage stack (repro/linux/pxd and the
+    # pxd_pico chassis), where the pxd recovery FSM's names extend
+    # PD013's generic hooks; repro/hw/blockdev.py is exempt (its
+    # watchdog redelivery must run unconditionally), as is repro/guard
+    _Gate("PD014", "storage recovery hook", ("GUARD", "guard"),
+          frozenset({"_maybe_probe", "begin_probe", "suspend", "resume"}),
+          lambda parts, base: ("guard" not in parts
+                               and base != "blockdev.py"
+                               and ("pxd" in parts
+                                    or base == "pxd_pico.py"))),
+    # the tune subsystem itself (repro/tune) is exempt: the environment
+    # and its probes drive the hook by design
+    _Gate("PD016", "PicoTune probe hook", ("TUNE", "probe"),
+          frozenset({"on_machine_built"}),
+          lambda parts, base: "tune" not in parts),
+)
+
+
+def _check_config_gating(path: str, tree: ast.AST,
+                         findings: List[Finding], gate: _Gate) -> None:
+    """One config-gating rule (a :data:`_GATES` row) over one module.
+
+    A call ``*.<attr>(...)`` with ``attr`` in ``gate.attrs`` is
+    considered guarded when it sits in the body of an ``if`` (or the
+    then-branch of a conditional expression) whose test references any
+    name in ``gate.names``, or — matching the hooks' actual idiom — when
+    it appears in an ``and`` chain *after* an operand that references
+    one, as in ``if FAULTS.enabled and inj and inj.fires(...)``.
     """
-    attrs = frozenset(attrs)
+    config_names = gate.names
     label = "/".join(config_names)
 
     def scan(node: ast.AST, guarded: bool) -> None:
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in attrs
+                and node.func.attr in gate.attrs
                 and not guarded):
             findings.append(Finding(
-                path, node.lineno, node.col_offset, code,
-                f"{describe} '{_dotted(node.func)}' is not guarded by "
+                path, node.lineno, node.col_offset, gate.code,
+                f"{gate.describe} '{_dotted(node.func)}' is not guarded by "
                 f"a config.{label} check"))
         if isinstance(node, ast.If):
             scan(node.test, guarded)
@@ -502,136 +557,6 @@ def _check_config_gating(path: str, tree: ast.AST,
             scan(child, guarded)
 
     scan(tree, False)
-
-
-def _check_fault_gating(path: str, tree: ast.AST,
-                        findings: List[Finding]) -> None:
-    """PD007: every ``*.fires(...)`` draw is behind a FAULTS check."""
-    _check_config_gating(path, tree, findings, ("FAULTS",), ("fires",),
-                         "PD007", "fault-injection draw")
-
-
-#: the SpanCollector emission surface PD011 polices at call sites
-_SPAN_EMISSION_ATTRS = frozenset({"begin_span", "end_span", "instant_span",
-                                  "complete_span", "add_flow"})
-
-
-def _check_trace_gating(path: str, tree: ast.AST,
-                        findings: List[Finding]) -> None:
-    """PD011: every span emission is behind a TRACE check.
-
-    The observability subsystem itself (``repro/obs``) is exempt — the
-    collector's own methods and the exporters necessarily call the
-    emission surface unconditionally.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "obs" in parts:
-        return
-    _check_config_gating(path, tree, findings, ("TRACE",),
-                         _SPAN_EMISSION_ATTRS, "PD011", "span emission")
-
-
-#: the controlled-scheduler hook surface PD012 polices at call sites
-_CHECK_HOOK_ATTRS = frozenset({"choose_ready", "on_step_begin",
-                               "on_step_end", "on_process_resumed"})
-
-
-def _check_scheduler_gating(path: str, tree: ast.AST,
-                            findings: List[Finding]) -> None:
-    """PD012: every controlled-scheduler hook is behind a gate.
-
-    Acceptable gates are an ``ANALYSIS.check`` test or — matching the
-    engine's actual idiom — a ``scheduler``-is-installed test
-    (``if self.scheduler is not None: ...``), since the no-op default
-    is precisely ``scheduler is None``.  The model checker itself
-    (``repro/analysis/check*.py``) is exempt: the explorer and its
-    fixtures drive the hook surface unconditionally by design.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "analysis" in parts and os.path.basename(path).startswith("check"):
-        return
-    _check_config_gating(path, tree, findings,
-                         ("ANALYSIS", "check", "scheduler"),
-                         _CHECK_HOOK_ATTRS, "PD012",
-                         "controlled-scheduler hook")
-
-
-#: the GuardManager/PathBreaker/CongestionGate hook surface PD013
-#: polices at call sites
-_GUARD_HOOK_ATTRS = frozenset({"record_success", "record_failure", "admits",
-                               "pick_healthy_engine", "park_if_suspended",
-                               "acquire_slots", "release_slots"})
-
-
-def _check_guard_gating(path: str, tree: ast.AST,
-                        findings: List[Finding]) -> None:
-    """PD013: every guard-plane hook is behind a gate.
-
-    Acceptable gates are a ``GUARD.enabled`` test or — matching the
-    drivers' actual idiom — a ``guard``-is-installed test
-    (``if guard is not None: ...``), since the no-op default is
-    precisely ``guard is None``.  The guard plane itself
-    (``repro/guard``) is exempt: the manager, breakers and gates call
-    each other's hook surface unconditionally by design.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "guard" in parts:
-        return
-    _check_config_gating(path, tree, findings, ("GUARD", "guard"),
-                         _GUARD_HOOK_ATTRS, "PD013", "guard-plane hook")
-
-
-#: the pxd replica-recovery hook surface PD014 polices at call sites
-_STORAGE_RECOVERY_ATTRS = frozenset({"_maybe_probe", "begin_probe",
-                                     "suspend", "resume"})
-
-
-def _check_storage_gating(path: str, tree: ast.AST,
-                          findings: List[Finding]) -> None:
-    """PD014: every storage recovery hook is behind a gate.
-
-    Scoped to the replicated-storage stack (``repro/linux/pxd`` and the
-    ``pxd_pico`` chassis): the probe-kick and suspend/resume surface
-    there extends PD013's generic guard hooks with the names the pxd
-    recovery FSM actually uses, so a zero-fault unguarded storage run
-    never branches into the health plane.  The fault-draw half of the
-    storage contract (``*.fires(...)`` behind ``FAULTS``) is already
-    enforced tree-wide by PD007.  ``repro/hw/blockdev.py`` is exempt:
-    the device model only moves bytes and delivers interrupts — its
-    watchdog redelivery must run unconditionally, guard plane or not —
-    and the guard plane itself (``repro/guard``) is exempt as with
-    PD013.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "guard" in parts or os.path.basename(path) == "blockdev.py":
-        return
-    if "pxd" not in parts and os.path.basename(path) != "pxd_pico.py":
-        return
-    _check_config_gating(path, tree, findings, ("GUARD", "guard"),
-                         _STORAGE_RECOVERY_ATTRS, "PD014",
-                         "storage recovery hook")
-
-
-#: the PicoTune probe hook surface PD016 polices at call sites
-_TUNE_HOOK_ATTRS = frozenset({"on_machine_built"})
-
-
-def _check_tune_gating(path: str, tree: ast.AST,
-                       findings: List[Finding]) -> None:
-    """PD016: every PicoTune probe hook is behind a TUNE gate.
-
-    The design-space-exploration service observes simulator-side state
-    through exactly one hook (``probe.on_machine_built``); like the
-    other opt-in planes it must cost untuned runs nothing, so every
-    call site sits behind a ``TUNE``/``probe`` check.  The tune
-    subsystem itself (``repro/tune``) is exempt: the environment and
-    its probes drive the hook surface unconditionally by design.
-    """
-    parts = os.path.normpath(path).split(os.sep)
-    if "tune" in parts:
-        return
-    _check_config_gating(path, tree, findings, ("TUNE", "probe"),
-                         _TUNE_HOOK_ATTRS, "PD016", "PicoTune probe hook")
 
 
 # --- driver ------------------------------------------------------------------
@@ -662,14 +587,13 @@ def lint_parsed(module) -> List[Finding]:
                 _check_fast_path_calls(path, cls, findings)
     _check_lock_discipline(path, tree, findings)
     _check_raw_heap(path, tree, findings)
-    _check_fault_gating(path, tree, findings)
-    _check_trace_gating(path, tree, findings)
-    _check_scheduler_gating(path, tree, findings)
-    _check_guard_gating(path, tree, findings)
-    _check_storage_gating(path, tree, findings)
-    _check_tune_gating(path, tree, findings)
-    # PD008/PD009 live in the lockdep module (they share its static
-    # lock-graph walker); imported here to keep lint importable from it
+    parts = os.path.normpath(path).split(os.sep)
+    base = os.path.basename(path)
+    for gate in _GATES:
+        if gate.applies(parts, base):
+            _check_config_gating(path, tree, findings, gate)
+    # PD008/PD009 come from lockdep's held-lock walk (the one lockgraph
+    # and vet share); imported here to keep lint importable from it
     from .lockdep import check_lock_order
     check_lock_order(path, tree, findings)
     lines = source.splitlines()

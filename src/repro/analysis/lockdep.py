@@ -27,12 +27,16 @@ held stacks, sim timestamps):
 * **held-across-wait** — a timed ``sim`` wait issued from inside a
   critical section, starving the peer kernel spinning on the word.
 
-**Static view** — an interprocedural ``ast`` pass sharing
-:mod:`repro.analysis.lint`'s machinery.  It follows ``yield from
-self.*`` chains, tracks the compile-time held set, extracts the
-:class:`LockGraph` (``python -m repro lockgraph``), and backs lint
-rules PD008 (declared-hierarchy order) and PD009 (no timed yield while
-a cross-kernel lock is held).
+**Static view** — :class:`HeldLockWalk`, the one compile-time walk
+that threads the held-lock set through a function body (``try``,
+branches, loops, ``with``, acquire/release matching, lock-class
+resolution).  Its lock-order subclass follows ``yield from self.*``
+chains, extracts the :class:`LockGraph` (``python -m repro
+lockgraph``), and backs lint rules PD008 (declared-hierarchy order)
+and PD009 (no timed yield while a cross-kernel lock is held); PicoVet's
+program scanner (:mod:`repro.analysis.vet_effects`) is the other
+subclass, so the held sets behind PD015.4 and PD015.5 come from the
+same walk.
 
 ``python -m repro lockdep <experiment>`` cross-checks the views: every
 dynamically observed dependency edge must appear in the static graph.
@@ -49,8 +53,8 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from ..errors import ReproError
 from .lint import (Finding, _ClassInfo, _dotted, _suppressed,
@@ -632,19 +636,6 @@ class LockGraph:
         return "\n".join(lines)
 
 
-class _HeldEntry:
-    """Compile-time held-lock record inside the walker."""
-
-    __slots__ = ("cls", "rank", "receiver", "line")
-
-    def __init__(self, cls: str, rank: Optional[int], receiver: str,
-                 line: int):
-        self.cls = cls
-        self.rank = rank
-        self.receiver = receiver
-        self.line = line
-
-
 def _collect_bindings(tree: ast.AST) -> Dict[str, str]:
     """Map receiver names to lock-class names from constructor calls:
     ``self.sdma_lock = CrossKernelSpinLock(..., name="hfi1.sdma_submit")``
@@ -671,127 +662,173 @@ def _collect_bindings(tree: ast.AST) -> Dict[str, str]:
     return bindings
 
 
-class _LockWalker:
-    """Interprocedural held-set walker over one module's AST."""
+class Held(NamedTuple):
+    """One statically held lock."""
 
-    def __init__(self, path: str, findings: List[Finding],
-                 graph: Optional[LockGraph],
-                 bindings: Dict[str, str]):
-        self.path = path
-        self.findings = findings
-        self.graph = graph
+    cls: str                       #: resolved lock class
+    rank: Optional[int]            #: declared rank, None if undeclared
+    receiver: str                  #: dotted receiver that took it
+    line: int                      #: line of the ``acquire``
+
+
+class HeldLockWalk:
+    """The compile-time held-lock walk over a function body.
+
+    It threads the list of held cross-kernel locks through the
+    statements; lint/lockgraph (PD008, PD009, :class:`LockGraph`) and
+    vet's program scanner (``CallSite.held``, ``HeapAccess.locks``) are
+    subclasses that override the hooks, so every static lock verdict
+    rests on one model of the protocol:
+
+    * ``yield from X.acquire(...)`` holds ``X``'s lock class from the
+      next statement on; a statement-level ``X.release(...)`` drops the
+      newest lock taken through the same receiver;
+    * ``try`` handlers and ``else`` see the state at the end of the
+      body, the conservative choice for a critical section (the lock is
+      still held until the ``finally`` runs), and ``finally`` continues
+      that state;
+    * acquires inside an ``if``/``while``/``for`` body or ``else`` do
+      not leak past it; a ``with`` body continues the enclosing state;
+    * nested ``def``/``class`` bodies are not entered.
+    """
+
+    def __init__(self, bindings: Dict[str, str]):
         self.bindings = bindings
-        self._emitted: Set[Tuple[int, int, str, str]] = set()
 
-    # -- entry ------------------------------------------------------------
+    def resolve(self, receiver: str) -> Tuple[str, Optional[int]]:
+        """(lock class, declared rank) of an ``acquire`` receiver:
+        constructor ``name=`` bindings first, then the registry's
+        ``attrs`` map, else the bare attribute name (undeclared)."""
+        from ..core.lockclasses import REGISTRY
+        last = receiver.rsplit(".", 1)[-1]
+        name = self.bindings.get(receiver) or self.bindings.get(last)
+        if name is None:
+            declared = REGISTRY.by_attr(last)
+            if declared is not None:
+                return declared.name, declared.rank
+            name = last
+        return name, REGISTRY.rank_of(name)
 
-    def walk_function(self, fn: ast.FunctionDef, qualname: str,
-                      cls_info: Optional[_ClassInfo],
-                      held: Optional[List[_HeldEntry]] = None,
-                      visiting: FrozenSet[str] = frozenset()) -> None:
-        if fn.name in visiting:
-            return
-        self._walk_block(fn.body, held if held is not None else [],
-                         qualname, cls_info, visiting | {fn.name})
-
-    # -- statement dispatch ------------------------------------------------
-
-    def _walk_block(self, stmts: Sequence[ast.stmt],
-                    held: List[_HeldEntry], qualname: str,
-                    cls_info: Optional[_ClassInfo],
-                    visiting: FrozenSet[str]) -> None:
+    def block(self, stmts: Sequence[ast.stmt], held: List[Held]) -> None:
+        """Walk ``stmts`` in order, updating ``held`` in place."""
         for stmt in stmts:
-            self._walk_stmt(stmt, held, qualname, cls_info, visiting)
+            self.stmt(stmt, held)
 
-    def _walk_stmt(self, stmt: ast.stmt, held: List[_HeldEntry],
-                   qualname: str, cls_info: Optional[_ClassInfo],
-                   visiting: FrozenSet[str]) -> None:
+    def nested(self, owner: ast.stmt, part: str,
+               stmts: Sequence[ast.stmt], held: List[Held]) -> None:
+        """Walk one block of compound statement ``owner``; ``part`` is
+        ``body``, ``handler``, ``orelse`` or ``finalbody``.  Overridden
+        to scope per-block state (vet's ``except`` and FAULTS scopes)."""
+        self.block(stmts, held)
+
+    def stmt(self, stmt: ast.stmt, held: List[Held]) -> None:
+        """Walk one statement (the only held-set dispatch)."""
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             return
         if isinstance(stmt, ast.Try):
-            self._walk_block(stmt.body, held, qualname, cls_info, visiting)
-            # handlers/orelse see the state at the end of the body (the
-            # conservative approximation that matters for a critical
-            # section: the lock is still held until the finally runs)
+            self.nested(stmt, "body", stmt.body, held)
             for handler in stmt.handlers:
-                self._walk_block(handler.body, list(held), qualname,
-                                 cls_info, visiting)
-            self._walk_block(stmt.orelse, list(held), qualname, cls_info,
-                             visiting)
-            self._walk_block(stmt.finalbody, held, qualname, cls_info,
-                             visiting)
+                self.nested(stmt, "handler", handler.body, list(held))
+            self.nested(stmt, "orelse", stmt.orelse, list(held))
+            self.nested(stmt, "finalbody", stmt.finalbody, held)
             return
-        if isinstance(stmt, (ast.If, ast.While)):
-            self._walk_block(stmt.body, list(held), qualname, cls_info,
-                             visiting)
-            self._walk_block(stmt.orelse, list(held), qualname, cls_info,
-                             visiting)
-            return
-        if isinstance(stmt, ast.For):
-            self._walk_block(stmt.body, list(held), qualname, cls_info,
-                             visiting)
-            self._walk_block(stmt.orelse, list(held), qualname, cls_info,
-                             visiting)
+        if isinstance(stmt, (ast.If, ast.While, ast.For)):
+            self.visit(stmt.iter if isinstance(stmt, ast.For)
+                       else stmt.test, held)
+            self.nested(stmt, "body", stmt.body, list(held))
+            self.nested(stmt, "orelse", stmt.orelse, list(held))
             return
         if isinstance(stmt, ast.With):
-            self._walk_block(stmt.body, held, qualname, cls_info, visiting)
+            for item in stmt.items:
+                self.visit(item.context_expr, held)
+            self.nested(stmt, "body", stmt.body, held)
             return
-        for value in self._stmt_values(stmt):
-            self._walk_value(value, held, qualname, cls_info, visiting)
-
-    @staticmethod
-    def _stmt_values(stmt: ast.stmt) -> Iterable[ast.expr]:
+        self.visit(stmt, held)
         value = getattr(stmt, "value", None)
-        if isinstance(value, ast.expr):
-            yield value
-
-    # -- expression handling -----------------------------------------------
-
-    def _walk_value(self, value: ast.expr, held: List[_HeldEntry],
-                    qualname: str, cls_info: Optional[_ClassInfo],
-                    visiting: FrozenSet[str]) -> None:
-        if isinstance(value, ast.YieldFrom) \
-                and isinstance(value.value, ast.Call):
-            call = value.value
-            if isinstance(call.func, ast.Attribute):
-                if call.func.attr == "acquire":
-                    self._handle_acquire(call, held, qualname)
-                    return
-                if (isinstance(call.func.value, ast.Name)
-                        and call.func.value.id == "self"
-                        and cls_info is not None
-                        and call.func.attr in cls_info.methods):
-                    # interprocedural: follow the delegation with the
-                    # current held set (helpers are assumed balanced;
-                    # PD002 polices leaks)
-                    callee = cls_info.methods[call.func.attr]
-                    self.walk_function(
-                        callee,
-                        f"{qualname.rsplit('.', 1)[0]}.{call.func.attr}",
-                        cls_info, held, visiting)
-                    return
+        call = (value.value if isinstance(value, (ast.Yield, ast.YieldFrom))
+                else value)
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)):
             return
-        if isinstance(value, ast.Yield) and value.value is not None \
-                and isinstance(value.value, ast.Call):
-            call = value.value
-            if isinstance(call.func, ast.Attribute) \
-                    and call.func.attr in _WAIT_CALLS:
-                self._handle_timed_yield(call, held, qualname)
-            return
-        if isinstance(value, ast.Call) \
-                and isinstance(value.func, ast.Attribute) \
-                and value.func.attr == "release":
-            receiver = _dotted(value.func.value)
+        if isinstance(value, ast.YieldFrom):
+            if call.func.attr == "acquire":
+                receiver = _dotted(call.func.value)
+                cls, rank = self.resolve(receiver)
+                self.on_acquire(call, receiver, cls, rank, held)
+                held.append(Held(cls, rank, receiver, call.lineno))
+            else:
+                self.on_delegate(call, held)
+        elif isinstance(value, ast.Yield):
+            if call.func.attr in _WAIT_CALLS:
+                self.on_wait(call, held)
+        elif call.func.attr == "release":
+            receiver = _dotted(call.func.value)
             for idx in range(len(held) - 1, -1, -1):
                 if held[idx].receiver == receiver:
                     del held[idx]
                     return
 
-    def _handle_acquire(self, call: ast.Call, held: List[_HeldEntry],
-                        qualname: str) -> None:
-        receiver = _dotted(call.func.value)
-        cls, rank = self._resolve(receiver)
+    # -- hooks (no-ops here) -----------------------------------------------
+
+    def visit(self, node: ast.AST, held: List[Held]) -> None:
+        """A simple statement, or the header expression of a compound
+        one, about to run with ``held``."""
+
+    def on_acquire(self, call: ast.Call, receiver: str, cls: str,
+                   rank: Optional[int], held: List[Held]) -> None:
+        """``call`` acquires ``cls`` while ``held`` is held."""
+
+    def on_wait(self, call: ast.Call, held: List[Held]) -> None:
+        """``call`` is a timed wait yielded while ``held`` is held."""
+
+    def on_delegate(self, call: ast.Call, held: List[Held]) -> None:
+        """``yield from call`` delegates to another generator."""
+
+
+class _LockOrderCheck(HeldLockWalk):
+    """The lint/lockgraph view of the walk over one module: PD008,
+    PD009 and the lock-graph sites and edges."""
+
+    def __init__(self, path: str, findings: List[Finding],
+                 graph: Optional[LockGraph], bindings: Dict[str, str]):
+        super().__init__(bindings)
+        self.path = path
+        self.findings = findings
+        self.graph = graph
+        self.qualname = ""
+        self.cls_info: Optional[_ClassInfo] = None
+        self.visiting: FrozenSet[str] = frozenset()
+        self._emitted: Set[Tuple[int, int, str, str]] = set()
+
+    def walk_function(self, fn: ast.FunctionDef, qualname: str,
+                      cls_info: Optional[_ClassInfo],
+                      held: List[Held]) -> None:
+        """Walk ``fn``'s body with ``held`` (skipping recursion)."""
+        if fn.name in self.visiting:
+            return
+        saved = self.qualname, self.cls_info, self.visiting
+        self.qualname, self.cls_info = qualname, cls_info
+        self.visiting = self.visiting | {fn.name}
+        self.block(fn.body, held)
+        self.qualname, self.cls_info, self.visiting = saved
+
+    def on_delegate(self, call: ast.Call, held: List[Held]) -> None:
+        func = call.func
+        if (isinstance(func.value, ast.Name) and func.value.id == "self"
+                and self.cls_info is not None
+                and func.attr in self.cls_info.methods):
+            # interprocedural: follow the delegation with the current
+            # held set (helpers are assumed balanced; PD002 polices
+            # leaks)
+            self.walk_function(
+                self.cls_info.methods[func.attr],
+                f"{self.qualname.rsplit('.', 1)[0]}.{func.attr}",
+                self.cls_info, held)
+
+    def on_acquire(self, call: ast.Call, receiver: str, cls: str,
+                   rank: Optional[int], held: List[Held]) -> None:
+        qualname = self.qualname
         kernel = "?"
         if call.args and isinstance(call.args[0], ast.Constant) \
                 and isinstance(call.args[0].value, str):
@@ -819,30 +856,17 @@ class _LockWalker:
                            f"{entry.cls} (rank {entry.rank}, line "
                            f"{entry.line}); the declared hierarchy is "
                            f"rank-increasing")
-        held.append(_HeldEntry(cls, rank, receiver, call.lineno))
 
-    def _handle_timed_yield(self, call: ast.Call,
-                            held: List[_HeldEntry],
-                            qualname: str) -> None:
+    def on_wait(self, call: ast.Call, held: List[Held]) -> None:
         if not held:
             return
         held_desc = ", ".join(
             f"{entry.cls} (line {entry.line})" for entry in held)
         self._emit(call, "PD009",
-                   f"timed yield '{_dotted(call.func)}' in {qualname} "
-                   f"while holding cross-kernel lock(s) {held_desc}; "
-                   f"the peer kernel spins for the whole wait")
-
-    def _resolve(self, receiver: str) -> Tuple[str, Optional[int]]:
-        from ..core.lockclasses import REGISTRY
-        last = receiver.rsplit(".", 1)[-1]
-        name = self.bindings.get(receiver) or self.bindings.get(last)
-        if name is None:
-            declared = REGISTRY.by_attr(last)
-            if declared is not None:
-                return declared.name, declared.rank
-            name = last
-        return name, REGISTRY.rank_of(name)
+                   f"timed yield '{_dotted(call.func)}' in "
+                   f"{self.qualname} while holding cross-kernel lock(s) "
+                   f"{held_desc}; the peer kernel spins for the whole "
+                   f"wait")
 
     def _emit(self, node: ast.AST, code: str, message: str) -> None:
         key = (node.lineno, node.col_offset, code, message)
@@ -859,17 +883,17 @@ def check_lock_order(path: str, tree: ast.AST, findings: List[Finding],
     compile-time lock graph into ``graph``."""
     from ..core import lockclasses
     lockclasses.ensure_declarations()
-    walker = _LockWalker(path, findings, graph, _collect_bindings(tree))
+    check = _LockOrderCheck(path, findings, graph, _collect_bindings(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             info = _ClassInfo(node)
             for mname in sorted(info.methods):
-                walker.walk_function(info.methods[mname],
-                                     f"{node.name}.{mname}", info)
+                check.walk_function(info.methods[mname],
+                                    f"{node.name}.{mname}", info, [])
     if isinstance(tree, ast.Module):
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
-                walker.walk_function(node, node.name, None)
+                check.walk_function(node, node.name, None, [])
 
 
 def build_static_lock_graph(
@@ -897,3 +921,19 @@ def build_static_lock_graph(
         findings.extend(f for f in module_findings
                         if not _suppressed(lines, f))
     return graph, findings
+
+
+# --- dynamic ⊆ static --------------------------------------------------------
+
+def uncontained_lock_facts(graph: LockGraph
+                           ) -> Tuple[List[DepEdge], List[str]]:
+    """The dynamic ⊆ static lock containment against ``graph``: every
+    registered validator's dependency edges missing from it (sorted), and
+    the classes some validator acquired that have no static site."""
+    edges = [edge for key, edge in sorted(active_dynamic_edges().items())
+             if not graph.has_edge(*key)]
+    static_classes = set(graph.sites) | set(graph.ranks)
+    classes = [lock_class for validator in ACTIVE_VALIDATORS
+               for lock_class in sorted(validator.acquired_classes())
+               if lock_class not in static_classes]
+    return edges, classes

@@ -42,6 +42,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import astcache
+from .cli import _chaos_smoke
 from .lint import (Finding, _comment_tokens, _IGNORE_RE, _suppressed,
                    code_matches)
 from .vet_checkers import run_checkers
@@ -111,11 +112,6 @@ def _stale_vet_suppressions(program: Program,
 
 
 # --- crosscheck: dynamic facts ⊆ static over-approximation -------------------
-
-def _chaos_smoke() -> str:
-    from ..experiments.chaos import run_chaos
-    return run_chaos("pingpong", smoke=True).render()
-
 
 def _default_table(commands: Optional[Dict[str, Callable[[], str]]]
                    ) -> Dict[str, Callable[[], str]]:
@@ -198,24 +194,19 @@ def crosscheck(name: str,
     program = Program.build()
     graph, _findings = lockdep_mod.build_static_lock_graph()
     failures: List[str] = []
-    fact_count = 0
 
     # 1. lock facts: dependency edges and acquired classes
-    for key, edge in sorted(lockdep_mod.active_dynamic_edges().items()):
-        if not graph.has_edge(*key):
-            fact_count += 1
-            failures.append(
-                f"lock edge {key[0]} -> {key[1]} observed dynamically "
-                f"but missing from the static lock graph:")
-            failures.extend(f"  {line}" for line in edge.describe())
-    static_classes = set(graph.sites) | set(graph.ranks)
-    for validator in lockdep_mod.ACTIVE_VALIDATORS:
-        for lock_class in sorted(validator.acquired_classes()):
-            if lock_class not in static_classes:
-                fact_count += 1
-                failures.append(
-                    f"lock class {lock_class} acquired dynamically but "
-                    f"has no static acquisition site")
+    missing_edges, missing_classes = \
+        lockdep_mod.uncontained_lock_facts(graph)
+    fact_count = len(missing_edges) + len(missing_classes)
+    for edge in missing_edges:
+        failures.append(
+            f"lock edge {edge.src} -> {edge.dst} observed dynamically "
+            f"but missing from the static lock graph:")
+        failures.extend(f"  {line}" for line in edge.describe())
+    failures.extend(f"lock class {lock_class} acquired dynamically but "
+                    f"has no static acquisition site"
+                    for lock_class in missing_classes)
 
     # 2. heap facts: KSan's sampled accesses
     statics = program.all_accesses()

@@ -45,12 +45,13 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from . import astcache
-from .lint import (_OFFLOAD_NAMES, _dotted, _refs_config, default_lint_root,
-                   iter_python_files)
-from .lockdep import _WAIT_CALLS, _collect_bindings
+from .lint import (_OFFLOAD_NAMES, _dotted, _refs_config, _walk_shallow,
+                   default_lint_root, iter_python_files)
+from .lockdep import Held, HeldLockWalk, _collect_bindings
 
 #: services a fast path / IRQ top half must never reach: they block the
 #: caller for an unbounded time (the in-tree members are
@@ -265,15 +266,8 @@ class ClassModel:
 def _iter_nodes(root: ast.AST) -> Iterator[ast.AST]:
     """Yield ``root`` and descendants, not entering nested defs (the
     root itself may be a def — its body is still walked)."""
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        yield node
-        if node is not root and isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                       ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
+    yield root
+    yield from _walk_shallow(root)
 
 
 def _struct_binding(call: ast.Call) -> Optional[Tuple[str, str]]:
@@ -310,113 +304,58 @@ def _const_str(node: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
-class _FunctionScanner:
-    """One pass over a function body, tracking held locks, enclosing
-    ``except`` clauses and FAULTS gating while collecting effects."""
+class _FunctionScanner(HeldLockWalk):
+    """One pass over a function body on the shared held-lock walk,
+    tracking enclosing ``except`` clauses and FAULTS gating while
+    collecting effects."""
 
     def __init__(self, program: "Program", fn: FunctionInfo,
                  lock_bindings: Dict[str, str]):
+        super().__init__(lock_bindings)
         self.program = program
         self.fn = fn
-        self.lock_bindings = lock_bindings
         self.locals_structs: Dict[str, Tuple[str, str]] = {}
+        self.handled: frozenset = frozenset()
+        self.faults = False
 
     def scan(self) -> None:
-        self._block(self.fn.node.body, (), frozenset(), False)
+        self.block(self.fn.node.body, [])
 
-    # -- statement walk ----------------------------------------------------
+    # -- walk hooks --------------------------------------------------------
 
-    def _block(self, stmts: List[ast.stmt], held: Tuple[str, ...],
-               handled: frozenset, faults: bool) -> Tuple[str, ...]:
-        for stmt in stmts:
-            held = self._stmt(stmt, held, handled, faults)
-        return held
+    def nested(self, owner: ast.stmt, part: str,
+               stmts: Sequence[ast.stmt], held: List[Held]) -> None:
+        saved = self.handled, self.faults
+        if part == "body" and isinstance(owner, ast.Try):
+            self.handled = self.handled | self.program.handler_classes(owner)
+        elif part == "body" and isinstance(owner, ast.If):
+            self.faults = self.faults or _refs_config(owner.test,
+                                                      ("FAULTS",))
+        self.block(stmts, held)
+        self.handled, self.faults = saved
 
-    def _stmt(self, stmt: ast.stmt, held: Tuple[str, ...],
-              handled: frozenset, faults: bool) -> Tuple[str, ...]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return held
-        if isinstance(stmt, ast.Try):
-            caught = self.program.handler_classes(stmt)
-            self._block(stmt.body, held, handled | caught, faults)
-            for handler in stmt.handlers:
-                self._block(handler.body, held, handled, faults)
-            self._block(stmt.orelse, held, handled, faults)
-            return self._block(stmt.finalbody, held, handled, faults)
-        if isinstance(stmt, ast.If):
-            self._exprs(stmt.test, held, handled, faults)
-            body_faults = faults or _refs_config(stmt.test, ("FAULTS",))
-            self._block(stmt.body, held, handled, body_faults)
-            self._block(stmt.orelse, held, handled, faults)
-            return held
-        if isinstance(stmt, ast.While):
-            self._exprs(stmt.test, held, handled, faults)
-            self._block(stmt.body, held, handled, faults)
-            self._block(stmt.orelse, held, handled, faults)
-            return held
-        if isinstance(stmt, ast.For):
-            self._exprs(stmt.iter, held, handled, faults)
-            self._block(stmt.body, held, handled, faults)
-            self._block(stmt.orelse, held, handled, faults)
-            return held
-        if isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._exprs(item.context_expr, held, handled, faults)
-            self._block(stmt.body, held, handled, faults)
-            return held
-        if isinstance(stmt, ast.Assign):
-            self._bind(stmt)
-            self._exprs(stmt.value, held, handled, faults)
-            return held
-        if isinstance(stmt, ast.Raise):
-            self._raise(stmt, handled, faults)
-            if stmt.exc is not None:
-                self._exprs(stmt.exc, held, handled, faults)
-            return held
-        # leaf statement: acquire extends the held set for what follows,
-        # a release (usually in a finally) shrinks it
-        acquired = self._acquire_class(stmt)
-        released = self._release_classes(stmt)
-        for sub in ast.iter_child_nodes(stmt):
-            self._exprs(sub, held, handled, faults)
-        if acquired is not None:
-            return held + (acquired,)
-        if released:
-            return tuple(c for c in held if c not in released)
-        return held
+    def visit(self, node: ast.AST, held: List[Held]) -> None:
+        classes = tuple(entry.cls for entry in held)
+        if isinstance(node, ast.Assign):
+            self._bind(node)
+            self._exprs(node.value, classes)
+        elif isinstance(node, ast.Raise):
+            self._raise(node)
+            if node.exc is not None:
+                self._exprs(node.exc, classes)
+        elif isinstance(node, ast.stmt):
+            for sub in ast.iter_child_nodes(node):
+                self._exprs(sub, classes)
+        else:
+            self._exprs(node, classes)
 
-    # -- lock bookkeeping --------------------------------------------------
+    def on_acquire(self, call: ast.Call, receiver: str, cls: str,
+                   rank: Optional[int], held: List[Held]) -> None:
+        self.fn.effect.acquires.add(cls)
 
-    def _lock_class(self, receiver: str) -> str:
-        last = receiver.rsplit(".", 1)[-1]
-        name = (self.lock_bindings.get(receiver)
-                or self.lock_bindings.get(last))
-        if name is not None:
-            return name
-        from ..core.lockclasses import REGISTRY
-        declared = REGISTRY.by_attr(last)
-        if declared is not None:
-            return declared.name
-        return f"?{last}"
-
-    def _acquire_class(self, stmt: ast.stmt) -> Optional[str]:
-        value = getattr(stmt, "value", None)
-        if (isinstance(stmt, ast.Expr) and isinstance(value, ast.YieldFrom)
-                and isinstance(value.value, ast.Call)
-                and isinstance(value.value.func, ast.Attribute)
-                and value.value.func.attr == "acquire"):
-            return self._lock_class(_dotted(value.value.func.value))
-        return None
-
-    def _release_classes(self, stmt: ast.stmt) -> Set[str]:
-        out: Set[str] = set()
-        for sub in _iter_nodes(stmt):
-            if (isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "release"):
-                out.add(self._lock_class(_dotted(sub.func.value)))
-        return out
+    def on_wait(self, call: ast.Call, held: List[Held]) -> None:
+        self.fn.effect.timed_waits.add(Site(
+            _dotted(call.func), self.fn.path, call.lineno))
 
     # -- bindings ----------------------------------------------------------
 
@@ -437,42 +376,27 @@ class _FunctionScanner:
 
     # -- expression handling -----------------------------------------------
 
-    def _exprs(self, root: ast.AST, held: Tuple[str, ...],
-               handled: frozenset, faults: bool) -> None:
+    def _exprs(self, root: ast.AST, held: Tuple[str, ...]) -> None:
         for node in _iter_nodes(root):
-            if isinstance(node, ast.Yield) and node.value is not None \
-                    and isinstance(node.value, ast.Call) \
-                    and isinstance(node.value.func, ast.Attribute) \
-                    and node.value.func.attr in _WAIT_CALLS:
-                self.fn.effect.timed_waits.add(Site(
-                    _dotted(node.value.func), self.fn.path, node.lineno))
-            elif isinstance(node, ast.YieldFrom) \
-                    and isinstance(node.value, ast.Call) \
-                    and isinstance(node.value.func, ast.Attribute) \
-                    and node.value.func.attr == "acquire":
-                self.fn.effect.acquires.add(
-                    self._lock_class(_dotted(node.value.func.value)))
-            elif isinstance(node, ast.Raise):
-                self._raise(node, handled, faults)
+            if isinstance(node, ast.Raise):
+                self._raise(node)
             elif isinstance(node, ast.Call):
-                self._call(node, held, handled)
+                self._call(node, held)
 
-    def _raise(self, node: ast.Raise, handled: frozenset,
-               faults: bool) -> None:
+    def _raise(self, node: ast.Raise) -> None:
         if node.exc is None or not isinstance(node.exc, ast.Call):
             return
         errname = _dotted(node.exc.func).rsplit(".", 1)[-1]
         if errname not in self.program.error_classes:
             return
         site = Site(errname, self.fn.path, node.lineno)
-        if not _error_covered(errname, set(handled),
+        if not _error_covered(errname, set(self.handled),
                               self.program.error_hierarchy):
             self.fn.effect.raises_.add((errname, site))
-        if faults:
+        if self.faults:
             self.fn.fault_raises.append((errname, site))
 
-    def _call(self, node: ast.Call, held: Tuple[str, ...],
-              handled: frozenset) -> None:
+    def _call(self, node: ast.Call, held: Tuple[str, ...]) -> None:
         func = node.func
         if isinstance(func, ast.Name):
             name, receiver = func.id, ""
@@ -493,17 +417,16 @@ class _FunctionScanner:
         if name == "fires" or "rng" in segments:
             effect.rng.add(Site(name, path, line))
         if name == "process" and segments and segments[-1] == "sim":
-            self._spawn(node, held, handled)
+            self._spawn(node, held)
             return
         if name in _NEVER_EDGE:
             self._accessor(node, name, receiver, held)
             return
         self.fn.calls.append(CallSite(
             name=name, receiver=receiver, line=line,
-            handled=tuple(sorted(handled)), held=held))
+            handled=tuple(sorted(self.handled)), held=held))
 
-    def _spawn(self, node: ast.Call, held: Tuple[str, ...],
-               handled: frozenset) -> None:
+    def _spawn(self, node: ast.Call, held: Tuple[str, ...]) -> None:
         if not node.args or not isinstance(node.args[0], ast.Call):
             return
         target = node.args[0].func
@@ -515,7 +438,7 @@ class _FunctionScanner:
             return
         self.fn.spawns.append(CallSite(
             name=name, receiver=receiver, line=node.lineno,
-            handled=tuple(sorted(handled)), held=held))
+            handled=tuple(sorted(self.handled)), held=held))
 
     def _accessor(self, node: ast.Call, name: str, receiver: str,
                   held: Tuple[str, ...]) -> None:
@@ -578,7 +501,6 @@ class Program:
         #: literals (struct name -> [field, ...]); used to attribute
         #: accesses whose receiver type the scanner cannot see
         self.field_structs: Dict[str, Set[str]] = {}
-        self._lock_bindings: Dict[str, Dict[str, str]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -606,7 +528,6 @@ class Program:
         return program
 
     def _digest_module(self, module: astcache.ParsedModule) -> None:
-        self._lock_bindings[module.path] = _collect_bindings(module.tree)
         for node in module.tree.body:
             if isinstance(node, ast.ClassDef):
                 self._digest_class(node, module.path)
@@ -743,7 +664,7 @@ class Program:
         return frozenset(out)
 
     def _scan_module(self, module: astcache.ParsedModule) -> None:
-        bindings = self._lock_bindings.get(module.path, {})
+        bindings = _collect_bindings(module.tree)
         for fn in list(self.functions.values()):
             if fn.path != module.path:
                 continue

@@ -22,7 +22,8 @@ increasing rank order**.  Ranks are sparse so subsystems can be
 inserted between existing levels.
 
 Declarations live next to the lock owners (``linux/hfi1/driver.py``,
-``mckernel/kernel.py``, ``core/hfi_pico.py``); this module only hosts
+``linux/pxd/driver.py``, ``mckernel/kernel.py``, ``core/hfi_pico.py``,
+``core/pxd_pico.py``); this module only hosts
 the mechanism, so it stays import-light (the static pass must be able
 to load it without dragging in the whole simulator).
 """
@@ -157,5 +158,7 @@ def ensure_declarations() -> None:
     enough because declarations run at module import.
     """
     from ..linux.hfi1 import driver as _hfi1_driver  # noqa: F401
+    from ..linux.pxd import driver as _pxd_driver  # noqa: F401
     from ..mckernel import kernel as _mckernel  # noqa: F401
     from . import hfi_pico as _hfi_pico  # noqa: F401
+    from . import pxd_pico as _pxd_pico  # noqa: F401

@@ -694,6 +694,16 @@ def test_pd014_blockdev_device_model_is_exempt():
     assert lint(src, path="src/repro/hw/blockdev.py") == []
 
 
+def test_pd014_blockdev_exemption_wins_over_the_pxd_scope():
+    src = """\
+        def _deliver(self, io):
+            self._maybe_probe()
+        """
+    assert codes(lint(src, path="src/repro/linux/pxd/driver.py")) \
+        == ["PD014"]
+    assert lint(src, path="src/repro/linux/pxd/blockdev.py") == []
+
+
 def test_pd014_in_rules_table():
     assert "PD014" in RULES
     assert "PD014" in rules_table()
