@@ -12,7 +12,7 @@ Two properties keep the observability layer honest:
 
 import time
 
-from repro.config import TRACE, enable_tracing
+from repro.config import TRACE
 from repro.experiments import run_fig4
 from repro.obs import SpanCollector
 from repro.units import KiB
@@ -39,6 +39,9 @@ def _fig4_seconds() -> float:
 
 def bench_trace_overhead(benchmark):
     """Compare fig4 wall clock untraced vs traced; check both bounds."""
+    # one untimed warm-up run, so the untraced side (timed first) is not
+    # charged for the cold process: imports, first-call caches
+    run_fig4(sizes=SIZES, repetitions=1)
     # installed-but-disabled: the gates must keep the collector empty
     idle = SpanCollector()
     TRACE.collector = idle
@@ -46,16 +49,13 @@ def bench_trace_overhead(benchmark):
     try:
         t_off = _fig4_seconds()
     finally:
-        enable_tracing(None)
+        TRACE.install(None)
     assert idle.spans == [] and idle.flows == [], \
         "disabled run leaked span emissions past the TRACE gates"
 
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with TRACE.installed(collector):
         t_on = benchmark.pedantic(_fig4_seconds, rounds=1, iterations=1)
-    finally:
-        enable_tracing(None)
     assert collector.spans, "traced run recorded no spans"
 
     slowdown = t_on / t_off if t_off > 0 else 1.0

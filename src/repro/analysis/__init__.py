@@ -4,8 +4,8 @@ Two cooperating layers guard the paper's central hazard — two kernels
 concurrently mutating the same Linux driver state (section 3.3):
 
 * :mod:`repro.analysis.ksan` — "KSan", a dynamic Eraser-style lockset
-  race detector.  When enabled (``repro.config.ANALYSIS.race_detection``
-  or ``python -m repro sanitize``) every :class:`~repro.hw.memory.SharedHeap`
+  race detector.  When enabled (the ``repro.config.KSAN`` plane or
+  ``python -m repro sanitize``) every :class:`~repro.hw.memory.SharedHeap`
   access is reported with its kernel, struct/field label and the set of
   :class:`~repro.core.sync.CrossKernelSpinLock` s held; any word written
   by both kernels whose candidate lockset goes empty is reported with
@@ -19,7 +19,7 @@ concurrently mutating the same Linux driver state (section 3.3):
 
 * :mod:`repro.analysis.lockdep` — "PicoLockdep", cross-kernel
   lock-order analysis.  A runtime validator
-  (``repro.config.ANALYSIS.lockdep`` or ``python -m repro lockdep``)
+  (the ``repro.config.LOCKDEP`` plane or ``python -m repro lockdep``)
   builds the observed lock-class dependency graph and reports order
   cycles, declared-hierarchy violations, IRQ inversions and timed
   waits inside critical sections; a static held-lock walk

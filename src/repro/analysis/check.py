@@ -50,10 +50,11 @@ exploration in the style of stateless model checkers (CHESS, dBug):
       python -m repro check --replay artifacts/<scenario>_<config>.sched
 
 The whole plane follows the repo's opt-in instrumentation pattern:
-nothing here runs unless ``repro.config.ANALYSIS.check`` is on, the
-simulator hooks are gated on the default-``None`` ``sim.scheduler``
-(lint rule PD012), and with the gate closed every experiment is
-bit-identical to a build without the hooks.
+the only gate is the default-``None`` ``sim.scheduler`` — the engine
+consults a scheduler only when one is installed (lint rule PD012) —
+and only PicoCheck's scenario harnesses install one, so every
+experiment outside a check run is bit-identical to a build without the
+hooks.
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..config import (ALL_CONFIGS, ANALYSIS, FAULTS, TRACE,
-                      enable_check, enable_fault_injection,
-                      enable_lockdep, enable_race_detection,
-                      enable_tracing)
+from ..config import ALL_CONFIGS, FAULTS, KSAN, LOCKDEP, TRACE
 from ..errors import ReproError
 from ..faults import FaultPlan, ScheduledFault
 from .ksan import reset_active_detectors
@@ -405,27 +403,20 @@ def execute_run(scenario, config: str, schedule: Schedule, bounds: "Bounds",
                 collector=None) -> RunResult:
     """Execute one schedule of ``scenario`` under the full oracle set.
 
-    Sets up the process-wide config for a check run (KSan + lockdep +
-    check mode + a deterministic fault plan carrying the schedule's
-    placements), hands the scenario a fresh harness, and restores every
-    global on the way out so check runs compose with the rest of the
-    test suite.
+    Installs the planes of a check run (KSan + lockdep + a
+    deterministic fault plan carrying the schedule's placements, plus
+    ``collector`` if given), hands the scenario a fresh harness, and
+    restores every plane on the way out so check runs compose with the
+    rest of the test suite.
     """
-    prev = (ANALYSIS.race_detection, ANALYSIS.lockdep, ANALYSIS.check,
-            FAULTS.enabled, FAULTS.plan, TRACE.enabled, TRACE.collector)
     reset_active_detectors()
     reset_active_validators()
-    enable_race_detection(True)
-    enable_lockdep(True)
-    enable_check(True)
-    enable_fault_injection(FaultPlan.placed(*schedule.faults))
-    enable_tracing(collector)
     try:
-        return scenario.run(config, schedule, bounds)
+        with KSAN.installed(True), LOCKDEP.installed(True), \
+                FAULTS.installed(FaultPlan.placed(*schedule.faults)), \
+                TRACE.installed(collector):
+            return scenario.run(config, schedule, bounds)
     finally:
-        (ANALYSIS.race_detection, ANALYSIS.lockdep, ANALYSIS.check,
-         FAULTS.enabled, FAULTS.plan, TRACE.enabled,
-         TRACE.collector) = prev
         reset_active_detectors()
         reset_active_validators()
 

@@ -75,8 +75,8 @@ def cmd_sanitize(argv: List[str],
     """Entry point for ``python -m repro sanitize``.
 
     ``commands`` is the experiment table of :mod:`repro.__main__`; each
-    named experiment is re-run with ``ANALYSIS.race_detection`` enabled
-    so every machine built along the way installs a
+    named experiment is re-run with the ``KSAN`` plane installed so
+    every machine built along the way installs a
     :class:`~repro.analysis.ksan.RaceDetector` on its kernel heaps.
     """
     if not argv:
@@ -89,14 +89,10 @@ def cmd_sanitize(argv: List[str],
               f"{', '.join(commands)}")
         return 2
     ksan.reset_active_detectors()
-    previous = config.ANALYSIS.race_detection
-    config.ANALYSIS.race_detection = True
-    try:
+    with config.KSAN.installed(True):
         for name in argv:
             print(f"== sanitizing {name} ==")
             print(commands[name]())
-    finally:
-        config.ANALYSIS.race_detection = previous
     print("\n== KSan verdict ==")
     for detector in ksan.ACTIVE_DETECTORS:
         print(detector.summary())
@@ -123,8 +119,8 @@ def cmd_lockdep(argv: List[str],
                 commands: Dict[str, Callable[[], str]]) -> int:
     """Entry point for ``python -m repro lockdep``.
 
-    Re-runs the named experiments with ``ANALYSIS.lockdep`` enabled so
-    every machine installs a
+    Re-runs the named experiments with the ``LOCKDEP`` plane installed
+    so every machine installs a
     :class:`~repro.analysis.lockdep.LockdepValidator`, then verifies
     dynamic/static consistency: a dependency edge observed at runtime
     that the static pass cannot see means the static view lies.
@@ -141,14 +137,10 @@ def cmd_lockdep(argv: List[str],
               f"{', '.join(table)}")
         return 2
     lockdep_mod.reset_active_validators()
-    previous = config.ANALYSIS.lockdep
-    config.ANALYSIS.lockdep = True
-    try:
+    with config.LOCKDEP.installed(True):
         for name in argv:
             print(f"== lockdep {name} ==")
             print(table[name]())
-    finally:
-        config.ANALYSIS.lockdep = previous
     print("\n== lockdep verdict ==")
     for validator in lockdep_mod.ACTIVE_VALIDATORS:
         print(validator.summary())

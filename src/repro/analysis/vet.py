@@ -177,18 +177,13 @@ def crosscheck(name: str,
     dynamic_errors: Set[Tuple[str, str]] = set()
     ksan.reset_active_detectors()
     lockdep_mod.reset_active_validators()
-    prev_race = config.ANALYSIS.race_detection
-    prev_lockdep = config.ANALYSIS.lockdep
     prev_observer = errors.OBSERVER
-    config.ANALYSIS.race_detection = True
-    config.ANALYSIS.lockdep = True
     errors.OBSERVER = _observe_errors(dynamic_errors)
     try:
-        print(f"== vet crosscheck: {name} ==")
-        print(table[name]())
+        with config.KSAN.installed(True), config.LOCKDEP.installed(True):
+            print(f"== vet crosscheck: {name} ==")
+            print(table[name]())
     finally:
-        config.ANALYSIS.race_detection = prev_race
-        config.ANALYSIS.lockdep = prev_lockdep
         errors.OBSERVER = prev_observer
 
     program = Program.build()

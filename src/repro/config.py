@@ -1,187 +1,82 @@
 """The three operating-system configurations the paper evaluates, plus
-process-wide toggles for the opt-in analysis layer."""
+the process-wide opt-in planes (faults, tracing, guard, tune, KSan,
+lockdep)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
 from enum import Enum
+from typing import Iterator
 
 
-@dataclass
-class AnalysisConfig:
-    """Opt-in dynamic-analysis toggles (see :mod:`repro.analysis`).
+class Plane:
+    """One opt-in plane: a process-wide value the models consult only
+    while it is installed.
 
-    ``race_detection`` makes every machine built by
-    :class:`repro.experiments.common.Machine` install a KSan
-    :class:`~repro.analysis.ksan.RaceDetector` on each node's shared
-    kernel heap.  Off by default: the hooks cost a branch per heap
-    access and the experiments' numbers must not depend on them.
-
-    ``lockdep`` likewise installs a
-    :class:`~repro.analysis.lockdep.LockdepValidator` per machine
-    (as a heap monitor on every node plus the simulator's wait
-    observer), checking lock-class acquisition order, IRQ context and
-    held-across-wait hazards.  Off by default for the same reason.
-
-    ``check`` marks a PicoCheck exploration run (see
-    :mod:`repro.analysis.check`): the bounded model checker installs a
-    controlled scheduler on each simulator it drives and turns KSan,
-    lockdep and the delivery contract into in-harness oracles.  Off by
-    default; with it off no simulator ever carries a scheduler, so
-    ``Simulator.step()`` stays on the single cheap pop path and every
-    experiment is bit-identical to a build without the hooks (lint
-    rule PD012 enforces the gating).
+    A plane is off until :meth:`install` gives it a value, and
+    ``enabled`` is exactly ``value is not None`` — so a hook past its
+    ``X.enabled`` gate may use the value without a second ``None``
+    test.  The value lives under a plane-specific attribute
+    (``FAULTS.plan``, ``TRACE.collector``, ``GUARD.policy``,
+    ``TUNE.probe``) that every hook site reads as one plain attribute
+    load: with the plane off each hook costs a single branch and every
+    experiment stays bit-identical to a build without it.  Lint rules
+    PD007/PD011/PD013/PD014/PD016 keep each hook surface behind its
+    gate.  Install for a scope with ``with X.installed(value):``.
     """
 
-    race_detection: bool = False
-    lockdep: bool = False
-    check: bool = False
+    def __init__(self, attr: str = "value"):
+        self._attr = attr
+        self.enabled = False
+        setattr(self, attr, None)
+
+    def install(self, value: object) -> None:
+        """Install ``value`` for machines built after this call;
+        ``None`` turns the plane off (the default state)."""
+        self.enabled = value is not None
+        setattr(self, self._attr, value)
+
+    @contextmanager
+    def installed(self, value: object) -> Iterator[object]:
+        """Install ``value`` for the body of a ``with`` block and
+        restore the previous state on exit, exceptions included."""
+        previous = (self.enabled, getattr(self, self._attr))
+        self.install(value)
+        try:
+            yield value
+        finally:
+            self.enabled, prior = previous
+            setattr(self, self._attr, prior)
 
 
-#: the process-wide analysis configuration (mutated by
-#: ``python -m repro sanitize`` and tests)
-ANALYSIS = AnalysisConfig()
+#: fault injection (:mod:`repro.faults`): ``plan`` is the active
+#: :class:`~repro.faults.FaultPlan` of a chaos run
+FAULTS = Plane("plan")
 
+#: causal tracing (:mod:`repro.obs`): ``collector`` is the active
+#: :class:`~repro.obs.spans.SpanCollector` of a traced run
+TRACE = Plane("collector")
 
-def enable_race_detection(enabled: bool = True) -> None:
-    """Toggle KSan installation for machines built after this call."""
-    ANALYSIS.race_detection = enabled
+#: fast-path health management (:mod:`repro.guard`): ``policy`` is the
+#: active :class:`~repro.guard.GuardPolicy` of a guarded run
+GUARD = Plane("policy")
 
+#: PicoTune observation (:mod:`repro.tune`): ``probe`` is the active
+#: :class:`~repro.tune.env.EvalProbe`, told about every machine built
+TUNE = Plane("probe")
 
-def enable_lockdep(enabled: bool = True) -> None:
-    """Toggle lockdep installation for machines built after this call."""
-    ANALYSIS.lockdep = enabled
+#: KSan (:mod:`repro.analysis.ksan`): installed (any value, normally
+#: ``True``), every machine puts a race detector on each node heap
+KSAN = Plane()
 
+#: lockdep (:mod:`repro.analysis.lockdep`): installed, every machine
+#: gets one lock-order validator over its heaps and simulator waits
+LOCKDEP = Plane()
 
-def enable_check(enabled: bool = True) -> None:
-    """Toggle PicoCheck exploration mode (controlled scheduling)."""
-    ANALYSIS.check = enabled
-
-
-@dataclass
-class FaultConfig:
-    """Opt-in fault-injection toggles (see :mod:`repro.faults`).
-
-    ``enabled`` gates every injection hook in the hardware and driver
-    models behind a single branch, so the zero-fault paths stay
-    branch-cheap and bit-identical to a build without the hooks (lint
-    rule PD007 enforces the gating).  ``plan`` holds the active
-    :class:`~repro.faults.FaultPlan` while a chaos run is in progress.
-    """
-
-    enabled: bool = False
-    plan: object = None
-
-
-#: the process-wide fault-injection configuration (mutated by
-#: ``python -m repro chaos`` and tests)
-FAULTS = FaultConfig()
-
-
-def enable_fault_injection(plan: object = None) -> None:
-    """Install a fault plan for machines built after this call.
-
-    Passing ``None`` disables injection entirely (the default state).
-    """
-    FAULTS.enabled = plan is not None
-    FAULTS.plan = plan
-
-
-@dataclass
-class TraceConfig:
-    """Opt-in causal-tracing toggles (see :mod:`repro.obs`).
-
-    ``enabled`` gates every span-emission hook on the data path behind
-    a single branch, so traced-off runs stay branch-cheap and
-    bit-identical to a build without the hooks (lint rule PD011
-    enforces the gating, mirroring PD007 for faults).  ``collector``
-    holds the active :class:`~repro.obs.spans.SpanCollector` while a
-    traced run is in progress.
-    """
-
-    enabled: bool = False
-    collector: object = None
-
-
-#: the process-wide tracing configuration (mutated by
-#: ``python -m repro trace`` and tests)
-TRACE = TraceConfig()
-
-
-def enable_tracing(collector: object = None) -> None:
-    """Install a span collector for machines built after this call.
-
-    Passing ``None`` disables tracing entirely (the default state).
-    """
-    TRACE.enabled = collector is not None
-    TRACE.collector = collector
-
-
-@dataclass
-class GuardConfig:
-    """Opt-in fast-path health management (see :mod:`repro.guard`).
-
-    ``enabled`` gates every guard hook on the data path — breaker
-    success/failure recording, dispatch-time path admission, congestion
-    watermark accounting and suspend parking — behind a single branch,
-    so guarded-off runs stay branch-cheap and bit-identical to a build
-    without the hooks (lint rule PD013 enforces the gating, mirroring
-    PD007 for faults and PD011 for tracing).  ``policy`` holds the
-    active :class:`~repro.guard.GuardPolicy` (thresholds, probe
-    hysteresis, watermarks) while a guarded run is in progress.
-    """
-
-    enabled: bool = False
-    policy: object = None
-
-
-#: the process-wide guard configuration (mutated by
-#: ``python -m repro chaos --flap`` and tests)
-GUARD = GuardConfig()
-
-
-def enable_guard(policy: object = None) -> None:
-    """Install a guard policy for machines built after this call.
-
-    Passing ``None`` disables the guard plane entirely (the default
-    state); any policy object (normally a
-    :class:`repro.guard.GuardPolicy`) enables it.
-    """
-    GUARD.enabled = policy is not None
-    GUARD.policy = policy
-
-
-@dataclass
-class TuneConfig:
-    """Opt-in PicoTune observation hooks (see :mod:`repro.tune`).
-
-    ``enabled`` gates the single simulator-side hook PicoTune owns —
-    :class:`repro.experiments.common.Machine` calling the probe's
-    ``on_machine_built`` at the end of construction — behind one
-    branch, so untuned runs stay branch-cheap and bit-identical to a
-    build without the hook (lint rule PD016 enforces the gating,
-    mirroring PD007/PD011/PD013).  ``probe`` holds the active
-    :class:`~repro.tune.env.EvalProbe` while an evaluation is in
-    progress.
-    """
-
-    enabled: bool = False
-    probe: object = None
-
-
-#: the process-wide PicoTune configuration (mutated by
-#: ``python -m repro tune`` and tests)
-TUNE = TuneConfig()
-
-
-def enable_tune_probe(probe: object = None) -> None:
-    """Install a PicoTune probe for machines built after this call.
-
-    Passing ``None`` disables the tune hook entirely (the default
-    state).
-    """
-    TUNE.enabled = probe is not None
-    TUNE.probe = probe
+# plain aliases of ``install``, kept only because the benchmark harness
+# (perfbench/layers.py) imports these two names
+enable_tracing = TRACE.install
+enable_tune_probe = TUNE.install
 
 
 class OSConfig(Enum):

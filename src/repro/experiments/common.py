@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..config import ANALYSIS, FAULTS, GUARD, TRACE, TUNE, OSConfig
+from ..config import FAULTS, GUARD, KSAN, LOCKDEP, TRACE, TUNE, OSConfig
 from ..core.hfi_pico import HFIPicoDriver
 from ..errors import ReproError
 from ..hw.fabric import Fabric
@@ -66,19 +66,19 @@ class Machine:
         #: fault injector shared by the fabric and every HFI, when
         #: ``repro.config.FAULTS`` carries a plan (chaos runs)
         self.injector = None
-        if FAULTS.enabled and FAULTS.plan is not None:
+        if FAULTS.enabled:
             from ..faults import FaultInjector
             self.injector = FaultInjector(FAULTS.plan,
                                           self.rng.spawn("faults"),
                                           self.tracer)
             self.fabric.injector = self.injector
         #: KSan race detectors, one per node heap, when
-        #: ``repro.config.ANALYSIS.race_detection`` is on
+        #: ``repro.config.KSAN`` is installed
         self.sanitizers: List[object] = []
         #: lockdep validator, one per machine (the lock-class dependency
-        #: graph spans nodes), when ``ANALYSIS.lockdep`` is on
+        #: graph spans nodes), when ``LOCKDEP`` is installed
         self.lockdep = None
-        if ANALYSIS.lockdep:
+        if LOCKDEP.enabled:
             from ..analysis.lockdep import LockdepValidator
             self.lockdep = LockdepValidator(self.sim, name="machine.lockdep")
             self.sim.wait_monitor = self.lockdep
@@ -92,7 +92,7 @@ class Machine:
             TRACE.collector.attach_machine(self)
         #: when ``repro.config.TUNE`` carries a probe (PicoTune
         #: evaluations), let it observe the fully-built machine
-        if TUNE.enabled and TUNE.probe is not None:
+        if TUNE.enabled:
             TUNE.probe.on_machine_built(self)
 
     def race_reports(self):
@@ -105,7 +105,7 @@ class Machine:
 
     def _build_node(self, node_id: int, driver_version: str) -> MachineNode:
         node = Node(self.sim, self.params, node_id, tracer=self.tracer)
-        if ANALYSIS.race_detection:
+        if KSAN.enabled:
             from ..analysis.ksan import RaceDetector
             detector = RaceDetector(self.sim, name=f"node{node_id}.kheap")
             node.kheap.monitor = detector
@@ -122,7 +122,7 @@ class Machine:
         driver = Hfi1Driver(version=driver_version)
         linux.load_driver(driver)
         mnode = MachineNode(node=node, linux=linux, driver=driver)
-        if GUARD.enabled and GUARD.policy is not None:
+        if GUARD.enabled:
             from ..guard import GuardManager
             manager = GuardManager(self.sim, GUARD.policy,
                                    len(node.hfi.engines),
@@ -141,7 +141,7 @@ class Machine:
             pxd = PxdDriver()
             linux.load_driver(pxd)
             mnode.pxd = pxd
-            if GUARD.enabled and GUARD.policy is not None:
+            if GUARD.enabled:
                 from ..guard import GuardManager
                 pxd_guard = GuardManager(self.sim, GUARD.policy,
                                          self.params.blk.replicas,

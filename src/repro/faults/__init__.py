@@ -6,9 +6,10 @@ case testable.  A :class:`FaultPlan` assigns firing probabilities to
 the fault points wired into the hardware and driver models, and a
 :class:`FaultInjector` draws those decisions from seeded, per-point RNG
 streams so every chaos run is reproducible.  Injection is globally
-gated by :data:`repro.config.FAULTS` (set via
-:func:`repro.config.enable_fault_injection`); with the gate closed the
-hooks cost one attribute load and a falsy branch.
+gated by the :data:`repro.config.FAULTS` plane (install a plan with
+``with FAULTS.installed(plan):``, see :class:`repro.config.Plane`);
+with the plane off the hooks cost one attribute load and a falsy
+branch.
 """
 
 from .plan import FAULT_POINTS, FaultInjector, FaultPlan, ScheduledFault

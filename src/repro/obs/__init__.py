@@ -10,8 +10,9 @@ The subsystem has three layers:
 * :mod:`repro.obs.critical_path` — the backward flow-edge walk from a
   message completion to a per-segment latency breakdown.
 
-Everything is opt-in via :func:`repro.config.enable_tracing`; with
-tracing disabled no hook runs and experiment outputs are bit-identical
+Everything is opt-in via the :data:`repro.config.TRACE` plane
+(``with TRACE.installed(collector):``, see :class:`repro.config.Plane`);
+with tracing off no hook runs and experiment outputs are bit-identical
 to an uninstrumented build (lint rule PD011 enforces the gating).
 """
 

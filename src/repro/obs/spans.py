@@ -67,7 +67,7 @@ class Span(object):
 class SpanCollector(object):
     """Accumulates spans and flow edges for one traced run.
 
-    Install with :func:`repro.config.enable_tracing`; every machine
+    Install on the :data:`repro.config.TRACE` plane; every machine
     built while tracing is enabled calls :meth:`attach_machine`, which
     stamps track names onto the kernels/devices and points the
     collector at that machine's simulator clock.  Span ids and flow ids

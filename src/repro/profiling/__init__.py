@@ -1,6 +1,5 @@
 """Kernel-level profiling (the paper's in-house McKernel profiler)."""
 
-from .kernel_profiler import (KernelProfile, profile_from_spans,
-                              profile_from_tracer)
+from .kernel_profiler import KernelProfile, profile_from_tracer
 
-__all__ = ["KernelProfile", "profile_from_spans", "profile_from_tracer"]
+__all__ = ["KernelProfile", "profile_from_tracer"]

@@ -71,24 +71,3 @@ def profile_from_mapping(times: Mapping[str, float]) -> KernelProfile:
     """Build a profile from a macro result's ``syscall_time`` dict."""
     return KernelProfile(times=dict(times))
 
-
-def profile_from_spans(collector, track_prefix: Optional[str] = None,
-                       cat: str = "syscall") -> KernelProfile:
-    """Build a profile from a traced run's syscall spans.
-
-    Both kernels' dispatchers emit one ``cat="syscall"`` span per call,
-    named ``linux.<name>`` / ``lwk.<name>`` and covering exactly the
-    interval the tracer accounts under ``syscall.<name>`` — so on the
-    same run this equals :func:`profile_from_tracer` (pinned by test).
-    ``track_prefix`` narrows to one machine/node/kernel track subtree.
-    """
-    times: Dict[str, float] = {}
-    for span in collector.spans:
-        if span.cat != cat:
-            continue
-        if track_prefix is not None \
-                and not span.track.startswith(track_prefix):
-            continue
-        call = span.name.split(".", 1)[-1]
-        times[call] = times.get(call, 0.0) + span.duration
-    return KernelProfile(times=times)

@@ -20,10 +20,8 @@ from repro.analysis.check import (Bounds, Choice, ControlledScheduler,
                                   parse_schedule_script, replay_schedule,
                                   run_check, write_schedule_script)
 from repro.analysis.check_fixtures import FlagRaceScenario
-from repro.config import ANALYSIS, FAULTS, TRACE
-from repro.experiments import run_fig4
+from repro.config import FAULTS, KSAN, LOCKDEP, TRACE
 from repro.faults import ScheduledFault
-from repro.units import KiB
 
 #: small but roomy bound: the rig has ~5 choice points, so this is
 #: exhaustive for it
@@ -143,9 +141,8 @@ def test_divergent_override_falls_back_to_fifo():
 
 def test_globals_restored_after_check_runs():
     execute_run(FlagRaceScenario(), "rig", Schedule.empty(), RIG_BOUNDS)
-    assert ANALYSIS.check is False
-    assert ANALYSIS.race_detection is False
-    assert ANALYSIS.lockdep is False
+    assert KSAN.enabled is False
+    assert LOCKDEP.enabled is False
     assert FAULTS.enabled is False and FAULTS.plan is None
     assert TRACE.enabled is False and TRACE.collector is None
 
@@ -256,17 +253,3 @@ def test_scenario_registry():
     assert scenarios["seeded-flag-race"].expect_violation is True
     assert scenarios["guard-breaker"].expect_violation is False
     assert scenarios["pxd-fallback"].expect_violation is False
-
-
-# --- the disabled-identity guarantee -----------------------------------------
-
-def test_check_runs_leave_experiments_bit_identical(tmp_path):
-    """With ``ANALYSIS.check`` off no simulator carries a scheduler, so
-    fig4 before and after a full check exploration is bit-identical —
-    the PD012 runtime contract."""
-    sizes = (16 * KiB,)
-    baseline = run_fig4(sizes=sizes, repetitions=1)
-    run_check("seeded-flag-race", bounds=RIG_BOUNDS,
-              out_dir=str(tmp_path))
-    after = run_fig4(sizes=sizes, repetitions=1)
-    assert after.series == baseline.series

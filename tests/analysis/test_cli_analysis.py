@@ -4,7 +4,7 @@ import textwrap
 
 from repro.__main__ import main
 from repro.analysis.cli import cmd_sanitize
-from repro.config import ANALYSIS
+from repro.config import KSAN, LOCKDEP
 
 
 def test_help_lists_analysis_commands(capsys):
@@ -59,7 +59,7 @@ def test_sanitize_shipped_experiment_is_clean(capsys):
     assert "== KSan verdict ==" in out
     assert "KSan: no cross-kernel races detected" in out
     assert "no races" in out
-    assert ANALYSIS.race_detection is False   # restored afterwards
+    assert KSAN.enabled is False   # restored afterwards
 
 
 def _racy_experiment():
@@ -82,7 +82,7 @@ def test_sanitize_reports_seeded_race(capsys):
     assert "race on sdma_state.current_state" in out
     assert "lockset intersection is empty" in out
     assert "1 cross-kernel race(s) detected" in out
-    assert ANALYSIS.race_detection is False   # restored even on findings
+    assert KSAN.enabled is False   # restored even on findings
 
 
 # --- lockgraph ---------------------------------------------------------------
@@ -187,7 +187,7 @@ def test_lockdep_clean_experiment_exits_zero(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "no lock-order hazards" in out
-    assert ANALYSIS.lockdep is False  # restored afterwards
+    assert LOCKDEP.enabled is False  # restored afterwards
 
 
 def test_lockdep_reports_seeded_abba(capsys):
@@ -198,7 +198,7 @@ def test_lockdep_reports_seeded_abba(capsys):
     assert "order-cycle" in out or "cycle" in out
     assert "hierarchy" in out
     assert "linux" in out and "mckernel" in out
-    assert ANALYSIS.lockdep is False  # restored even on findings
+    assert LOCKDEP.enabled is False  # restored even on findings
 
 
 # --- lint --jobs -------------------------------------------------------------

@@ -11,8 +11,7 @@ import pytest
 from repro.analysis.ksan import (ACTIVE_DETECTORS, RaceDetector,
                                  active_race_reports,
                                  reset_active_detectors)
-from repro.config import (ALL_CONFIGS, ANALYSIS, OSConfig,
-                          enable_race_detection)
+from repro.config import ALL_CONFIGS, KSAN, OSConfig
 from repro.core import (CrossKernelSpinLock, linux_layout,
                         mckernel_unified_layout)
 from repro.core.structs import CStructDef, Field, StructInstance, StructView, U32
@@ -198,9 +197,8 @@ def test_detector_registry_and_aggregation():
 def sanitized():
     """Enable KSan installation for machines built inside the test."""
     reset_active_detectors()
-    enable_race_detection(True)
-    yield
-    enable_race_detection(False)
+    with KSAN.installed(True):
+        yield
     reset_active_detectors()
 
 
@@ -273,4 +271,4 @@ def test_shipped_pingpong_is_race_free(sanitized, cfg):
 
 def test_race_detection_flag_restored_by_fixture():
     """Guard against fixture leakage into the perf-sensitive default."""
-    assert ANALYSIS.race_detection is False
+    assert KSAN.enabled is False

@@ -8,7 +8,7 @@ from repro.__main__ import COMMANDS, main
 from repro.analysis import astcache
 from repro.analysis.lint import lint_paths
 from repro.analysis.vet import cmd_vet, vet_paths
-from repro.config import ANALYSIS
+from repro.config import KSAN, LOCKDEP
 
 from .vet_fixtures.lockedge_rig import run_rig
 
@@ -131,8 +131,8 @@ def test_crosscheck_contained_experiment_passes(capsys):
     assert rc == 0
     assert "every dynamic fact is contained" in out
     assert "heap access pair(s)" in out
-    assert ANALYSIS.race_detection is False    # restored afterwards
-    assert ANALYSIS.lockdep is False
+    assert KSAN.enabled is False    # restored afterwards
+    assert LOCKDEP.enabled is False
 
 
 def test_crosscheck_names_missing_lock_edge(capsys):
@@ -145,20 +145,8 @@ def test_crosscheck_names_missing_lock_edge(capsys):
     assert "missing from the static lock graph" in out
     assert "rig.outer acquired dynamically but has no static" in out
     assert "3 uncontained fact(s)" in out
-    assert ANALYSIS.race_detection is False    # restored on failure too
-    assert ANALYSIS.lockdep is False
-
-
-# --- determinism: vet never perturbs the experiments -------------------------
-
-def test_fig4_bit_identical_around_a_vet_run():
-    from repro.experiments import run_fig4
-    from repro.units import KiB
-    sizes = (16 * KiB,)
-    baseline = run_fig4(sizes=sizes, repetitions=1)
-    assert main(["vet"]) == 0
-    again = run_fig4(sizes=sizes, repetitions=1)
-    assert again.series == baseline.series
+    assert KSAN.enabled is False    # restored on failure too
+    assert LOCKDEP.enabled is False
 
 
 # --- the shared AST cache ----------------------------------------------------

@@ -214,14 +214,14 @@ def test_mtt_exhaustion_feeds_memreg_breaker_and_routes_offload():
     trips its breaker and later registrations route straight to the
     offloaded slow path — still failing typed, but without fast-path
     exception churn."""
-    from repro.config import GUARD, enable_guard
+    from repro.config import GUARD
     from repro.guard import GuardPolicy
     from repro.guard.manager import GuardManager
     from repro.units import USEC
 
-    enable_guard(GuardPolicy(failure_window=4, failure_threshold=1,
-                             probe_successes=1, probe_backoff=50 * USEC))
-    try:
+    with GUARD.installed(GuardPolicy(
+            failure_window=4, failure_threshold=1, probe_successes=1,
+            probe_backoff=50 * USEC)):
         machine, mlx, pico = machine_with_ib(OSConfig.MCKERNEL_HFI)
         mlx.guard = GuardManager(machine.sim, GUARD.policy, 1,
                                  machine.tracer, label="node0.mlx",
@@ -255,5 +255,3 @@ def test_mtt_exhaustion_feeds_memreg_breaker_and_routes_offload():
         assert mlx.guard.breakers["memreg0"].state != BREAKER_CLOSED
         # ...so the second attempt was routed to offload at dispatch
         assert machine.tracer.get_count("guard.routed_offload.ioctl") >= 1
-    finally:
-        enable_guard(None)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import OSConfig, enable_fault_injection
+from repro.config import FAULTS, OSConfig
 from repro.errors import DeviceTimeout, TransferCorrupt
 from repro.experiments import build_machine
 from repro.faults import FaultPlan
@@ -15,22 +15,14 @@ from repro.psm import Endpoint, TagMatcher
 from repro.units import KiB, MiB
 
 
-def build_faulty_machine(plan, os_config=OSConfig.LINUX, params=None):
-    """A 2-node machine with ``plan`` installed (injection stays enabled
-    for the machine's lifetime; callers rely on the module-level teardown
-    in :func:`run_transfers` to restore the global config)."""
-    enable_fault_injection(plan)
-    return build_machine(2, os_config, params=params)
-
-
 def run_transfers(plan, sizes, os_config=OSConfig.LINUX, params=None):
     """One sender, one receiver, one message per entry of ``sizes``.
 
     Returns ``(machine, send outcomes, receive requests)`` where an
     outcome is ``"ok"`` or the typed exception the blocking send raised.
     """
-    try:
-        machine = build_faulty_machine(plan, os_config, params)
+    with FAULTS.installed(plan):
+        machine = build_machine(2, os_config, params=params)
         sim = machine.sim
         t0 = machine.spawn_rank(0, 0, 0)
         t1 = machine.spawn_rank(1, 0, 1)
@@ -66,8 +58,6 @@ def run_transfers(plan, sizes, os_config=OSConfig.LINUX, params=None):
         sim.process(sender())
         sim.run()
         return machine, outcomes, reqs
-    finally:
-        enable_fault_injection(None)
 
 
 def delivered(req):
@@ -163,8 +153,8 @@ def test_persistent_payload_corruption_raises_transfer_corrupt(os_config):
     """If every expected-data packet arrives corrupted, the receiver's
     CTS watchdog exhausts its budget and fails the receive with
     TransferCorrupt (not a bare timeout)."""
-    try:
-        machine = build_faulty_machine(FaultPlan(), os_config)
+    with FAULTS.installed(FaultPlan()):
+        machine = build_machine(2, os_config)
         sim = machine.sim
         t0 = machine.spawn_rank(0, 0, 0)
         t1 = machine.spawn_rank(1, 0, 1)
@@ -205,8 +195,6 @@ def test_persistent_payload_corruption_raises_transfer_corrupt(os_config):
         assert isinstance(reqs[0].event.exception, TransferCorrupt)
         assert machine.tracer.get_count("psm.corrupt_drops") > 0
         assert machine.tracer.get_count("psm.recv_failures") == 1
-    finally:
-        enable_fault_injection(None)
 
 
 def test_pico_fast_path_falls_back_on_halted_engine():

@@ -1,18 +1,19 @@
-"""Span-backed KernelProfile equals the tracer-counter profile."""
+"""Syscall spans time exactly what the kernel profile accounts: per
+call name, the ``cat="syscall"`` span durations under a kernel's track
+sum to that kernel's :func:`~repro.profiling.profile_from_tracer`."""
 
 import pytest
 
-from repro.config import OSConfig, enable_tracing
+from repro.config import TRACE, OSConfig
 from repro.experiments import build_machine
 from repro.obs import SpanCollector
-from repro.profiling import profile_from_spans, profile_from_tracer
+from repro.profiling import profile_from_tracer
 
 
 def _traced_micro_run(os_config):
     """One offload-heavy micro workload with tracing on."""
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with TRACE.installed(collector):
         machine = build_machine(1, os_config)
         task = machine.spawn_rank(0, 0)
 
@@ -23,25 +24,34 @@ def _traced_micro_run(os_config):
             yield from task.syscall("close", fd)
 
         machine.sim.run(until=machine.sim.process(body()))
-    finally:
-        enable_tracing(None)
     collector.finalize()
     return collector, machine
 
 
-def _assert_profiles_equal(from_spans, from_tracer):
-    assert set(from_spans.times) == set(from_tracer.times)
+def _span_times(collector, track_prefix=""):
+    """Per-call sums of syscall span durations under one track subtree
+    (spans are named ``linux.<call>`` / ``lwk.<call>``)."""
+    times = {}
+    for span in collector.spans:
+        if span.cat == "syscall" and span.track.startswith(track_prefix):
+            call = span.name.split(".", 1)[-1]
+            times[call] = times.get(call, 0.0) + span.duration
+    return times
+
+
+def _assert_profiles_equal(span_times, tracer):
+    from_tracer = profile_from_tracer(tracer)
+    assert set(span_times) == set(from_tracer.times)
     for name, t in from_tracer.times.items():
-        assert from_spans.times[name] == pytest.approx(t, rel=1e-12)
-    assert from_spans.dominant() == from_tracer.dominant()
+        assert span_times[name] == pytest.approx(t, rel=1e-12)
+    assert max(span_times, key=span_times.get) == from_tracer.dominant()
 
 
 def test_span_profile_equals_tracer_profile_linux():
     """On Linux there is one kernel and one tracer; the span-backed
     profile must equal the tracer-counter one to the bit."""
     collector, machine = _traced_micro_run(OSConfig.LINUX)
-    _assert_profiles_equal(profile_from_spans(collector),
-                           profile_from_tracer(machine.tracer))
+    _assert_profiles_equal(_span_times(collector), machine.tracer)
 
 
 def test_span_profile_equals_tracer_profile_mckernel():
@@ -52,16 +62,11 @@ def test_span_profile_equals_tracer_profile_mckernel():
     and shows up as linux.* spans on the linux track."""
     collector, machine = _traced_micro_run(OSConfig.MCKERNEL)
     _assert_profiles_equal(
-        profile_from_spans(collector,
-                           track_prefix="McKernel/node0/lwk"),
-        profile_from_tracer(machine.tracer))
-    linux_tracer = machine.nodes[0].linux.tracer
-    _assert_profiles_equal(
-        profile_from_spans(collector,
-                           track_prefix="McKernel/node0/linux"),
-        profile_from_tracer(linux_tracer))
-    assert "munmap_shadow" in profile_from_spans(
-        collector, track_prefix="McKernel/node0/linux").times
+        _span_times(collector, track_prefix="McKernel/node0/lwk"),
+        machine.tracer)
+    linux_times = _span_times(collector, track_prefix="McKernel/node0/linux")
+    _assert_profiles_equal(linux_times, machine.nodes[0].linux.tracer)
+    assert "munmap_shadow" in linux_times
 
 
 def test_track_prefix_narrows_to_one_kernel():
@@ -69,8 +74,7 @@ def test_track_prefix_narrows_to_one_kernel():
     lwk_names = {s.name for s in collector.spans if s.cat == "syscall"
                  and s.track.endswith("/lwk")}
     assert lwk_names, "no LWK syscall spans recorded"
-    lwk_only = profile_from_spans(collector,
-                                  track_prefix="McKernel/node0/lwk")
-    assert lwk_only.times
-    whole = profile_from_spans(collector)
-    assert lwk_only.total <= whole.total
+    lwk_only = _span_times(collector, track_prefix="McKernel/node0/lwk")
+    assert lwk_only
+    whole = _span_times(collector)
+    assert sum(lwk_only.values()) <= sum(whole.values())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import TRACE, enable_tracing
+from repro.config import TRACE
 from repro.experiments import run_fig4
 from repro.obs import SpanCollector
 from repro.units import KiB
@@ -79,7 +79,7 @@ def test_installed_but_disabled_collector_stays_empty():
     try:
         run_fig4(sizes=SIZES, repetitions=1)
     finally:
-        enable_tracing(None)
+        TRACE.install(None)
     assert idle.spans == [] and idle.flows == []
 
 
@@ -89,11 +89,8 @@ def test_tracing_never_perturbs_the_simulation():
     baseline = run_fig4(sizes=SIZES, repetitions=1)
 
     collector = SpanCollector()
-    enable_tracing(collector)
-    try:
+    with TRACE.installed(collector):
         traced = run_fig4(sizes=SIZES, repetitions=1)
-    finally:
-        enable_tracing(None)
     assert collector.spans, "traced run recorded nothing"
     assert traced.series == baseline.series
     for cfg, series in baseline.series.items():

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import units
-from repro.config import ALL_CONFIGS, OSConfig
+from repro.config import ALL_CONFIGS, OSConfig, Plane
 from repro.errors import PageFault
 from repro.params import default_params
 
@@ -78,6 +78,43 @@ def test_config_properties():
     assert OSConfig.MCKERNEL_HFI.has_picodriver
     assert OSConfig.LINUX.noisy_app_cores
     assert not OSConfig.MCKERNEL_HFI.noisy_app_cores
+
+
+def test_plane_is_off_until_a_value_is_installed():
+    plane = Plane("policy")
+    assert plane.enabled is False and plane.policy is None
+    plane.install("strict")
+    assert plane.enabled is True and plane.policy == "strict"
+    plane.install(None)
+    assert plane.enabled is False and plane.policy is None
+
+
+def test_installed_restores_the_previous_state_on_normal_exit():
+    plane = Plane("probe")
+    with plane.installed("p") as value:
+        assert value == "p"
+        assert plane.enabled and plane.probe == "p"
+    assert plane.enabled is False and plane.probe is None
+
+
+def test_installed_restores_the_previous_state_on_an_exception():
+    plane = Plane("probe")
+    with pytest.raises(RuntimeError):
+        with plane.installed("p"):
+            raise RuntimeError("boom")
+    assert plane.enabled is False and plane.probe is None
+
+
+def test_installed_nested_scope_keeps_the_outer_value():
+    plane = Plane()
+    with plane.installed("outer"):
+        with plane.installed("inner"):
+            assert plane.value == "inner"
+        assert plane.enabled and plane.value == "outer"
+        with plane.installed(None):
+            assert plane.enabled is False and plane.value is None
+        assert plane.enabled and plane.value == "outer"
+    assert plane.enabled is False and plane.value is None
 
 
 # --- params ---------------------------------------------------------------------
