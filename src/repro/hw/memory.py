@@ -13,7 +13,8 @@ Two distinct facilities live here:
   both kernels see after the PicoDriver virtual-address-space unification.
   It is backed by a real ``bytearray`` so that Linux-driver structures
   written on one side are *actually read back* byte-for-byte on the other
-  through DWARF-extracted offsets.
+  through DWARF-extracted offsets.  The backing grows with the allocation
+  break, so a node's mostly unused 8 MiB arena costs only what it holds.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class Extent(NamedTuple):
     @property
     def end(self) -> int:
         return self.start + self.count
-
-    def byte_range(self, frame_size: int = PAGE_SIZE) -> Tuple[int, int]:
-        """(start, end) byte addresses of the extent."""
-        return self.start * frame_size, self.count * frame_size
 
 
 class FrameAllocator:
@@ -295,6 +292,11 @@ class SharedHeap:
     share after unification.  Reads and writes move real bytes, so
     cross-kernel structure access through DWARF-extracted offsets is
     exercised for real, not pretended.
+
+    The ``bytearray`` holds only the heap's first bytes: it starts empty
+    and grows with zeros when the allocation break, or a write, passes
+    its end.  Bytes beyond it were never written and read as zero, so the
+    heap behaves as if all ``size`` bytes were zeroed up front.
     """
 
     def __init__(self, size: int, base: int = 0xFFFF_8800_0000_0000,
@@ -302,7 +304,7 @@ class SharedHeap:
         self.size = size
         self.base = base
         self.name = name
-        self._mem = bytearray(size)
+        self._mem = bytearray()
         self._brk = 0
         self._live: Dict[int, int] = {}  # addr -> size
         self._free_by_size: Dict[int, List[int]] = {}
@@ -363,6 +365,7 @@ class SharedHeap:
                                   f"({self._brk}/{self.size} used)")
             self._brk = off + self._round(size)
             addr = self.base + off
+            self._grow(self._brk)
         self._live[addr] = size
         self._mem[addr - self.base: addr - self.base + size] = bytes(size)
         return addr
@@ -394,7 +397,10 @@ class SharedHeap:
         if self.monitor is not None:
             self.monitor.on_access("read", addr, size, self)
         off = addr - self.base
-        return bytes(self._mem[off: off + size])
+        data = bytes(self._mem[off: off + size])
+        if len(data) < size:  # past the backing: never written, so zero
+            data += bytes(size - len(data))
+        return data
 
     def write(self, addr: int, data: bytes) -> None:
         """Write raw bytes at a kernel virtual address."""
@@ -402,6 +408,7 @@ class SharedHeap:
         if self.monitor is not None:
             self.monitor.on_access("write", addr, len(data), self)
         off = addr - self.base
+        self._grow(off + len(data))
         self._mem[off: off + len(data)] = data
 
     def read_u(self, addr: int, size: int) -> int:
@@ -411,6 +418,11 @@ class SharedHeap:
     def write_u(self, addr: int, size: int, value: int) -> None:
         """Write a little-endian unsigned integer of ``size`` bytes."""
         self.write(addr, int(value).to_bytes(size, "little", signed=False))
+
+    def _grow(self, length: int) -> None:
+        """Extend the backing with zeros to at least ``length`` bytes."""
+        if length > len(self._mem):
+            self._mem.extend(bytes(length - len(self._mem)))
 
     def _check(self, addr: int, size: int) -> None:
         if not (self.base <= addr and addr + size <= self.end):

@@ -10,7 +10,9 @@ these spans directly and builds SDMA requests up to 10KB (section 3.4).
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, NamedTuple, Tuple
+from itertools import accumulate
+from operator import floordiv
+from typing import Iterable, Iterator, List, NamedTuple, Tuple
 
 from ..errors import PageFault, ReproError
 from ..units import LARGE_PAGE_SIZE, PAGE_SIZE
@@ -18,8 +20,8 @@ from .memory import Extent
 
 
 class Mapping(NamedTuple):
-    """One page-table entry at natural granularity (a named tuple: cheap
-    to build one per 4KB page)."""
+    """One page-table entry at natural granularity: the 4KB or 2MB page
+    :meth:`PageTable.lookup` reports for an address."""
 
     vaddr: int       # virtual start (aligned to page_size)
     paddr: int       # physical start (aligned to page_size)
@@ -32,20 +34,28 @@ class Mapping(NamedTuple):
 
 
 class PageTable:
-    """Sorted mapping list with bisect lookup.
+    """Sorted runs of pages with bisect lookup.
 
-    Entries are stored per page at natural granularity (one entry per 4KB
-    or per 2MB page), which keeps ``translate`` O(log n) and keeps large
-    pages first-class rather than expanded.
+    A *run* is a stretch that is contiguous both virtually and physically,
+    made of pages of one size (4KB or 2MB) that share one pinned flag.  The
+    table is five parallel lists sorted by virtual start: start, paddr,
+    length in bytes, page size and pinned.  A scattered Linux extent is one
+    run; a McKernel extent is at most three (4KB head, 2MB middle, 4KB
+    tail).  Page-granular entries exist only as the :class:`Mapping`
+    :meth:`lookup` builds on demand; ``len()`` still counts them.
     """
 
     def __init__(self, owner: str = ""):
         self.owner = owner
-        self._vaddrs: List[int] = []
-        self._maps: List[Mapping] = []
+        self._starts: List[int] = []
+        self._paddrs: List[int] = []
+        self._lens: List[int] = []
+        self._sizes: List[int] = []
+        self._pinned: List[bool] = []
+        self._entries = 0  # page entries, for len()
 
     def __len__(self) -> int:
-        return len(self._maps)
+        return self._entries
 
     # -- construction ------------------------------------------------------
 
@@ -57,102 +67,103 @@ class PageTable:
         if vaddr % page_size or paddr % page_size:
             raise ReproError(
                 f"unaligned mapping va={vaddr:#x} pa={paddr:#x} size={page_size}")
-        idx = bisect.bisect_left(self._vaddrs, vaddr)
-        if idx < len(self._maps) and self._maps[idx].vaddr < vaddr + page_size:
-            raise ReproError(f"mapping overlap at {vaddr:#x}")
-        if idx > 0 and self._maps[idx - 1].vend > vaddr:
-            raise ReproError(f"mapping overlap at {vaddr:#x}")
-        self._vaddrs.insert(idx, vaddr)
-        self._maps.insert(idx, Mapping(vaddr, paddr, page_size, pinned))
+        self._insert([vaddr], [paddr], [page_size], [page_size], [pinned])
 
     def map_extents(self, vaddr: int, extents: Iterable[Extent],
                     frame_size: int = PAGE_SIZE, pinned: bool = False,
                     use_large_pages: bool = False) -> int:
         """Map physical ``extents`` consecutively starting at ``vaddr``.
 
-        When ``use_large_pages`` is set, any 2MB-aligned 2MB-sized piece of
-        an extent is installed as a single large-page entry (McKernel's
-        policy); the ragged edges fall back to 4KB entries.
-        Returns the end virtual address.
+        Each extent becomes one 4KB run.  When ``use_large_pages`` is set
+        (McKernel's policy), every 2MB-aligned 2MB-sized piece of an extent
+        is mapped as a large page instead: the extent splits into a 4KB
+        head, a 2MB middle and a 4KB tail, the pages a greedy page-by-page
+        walk would pick.  Returns the end virtual address.
 
-        The new entries are checked for overlap once, against the
-        neighbours of the whole target range, and spliced in with one
-        slice assignment; on any error the table is left unchanged.
+        The new runs are checked for overlap once, against the neighbours
+        of the whole target range, and spliced in with one slice
+        assignment; on any error the table is left unchanged.
         """
         if vaddr % PAGE_SIZE:
             raise ReproError(f"unaligned mapping va={vaddr:#x}")
-        new: List[Mapping] = []
-        va = vaddr
+        extents = list(extents)
         for ext in extents:
-            pa, nbytes = ext.start * frame_size, ext.count * frame_size
-            if pa % PAGE_SIZE or nbytes % PAGE_SIZE:
-                raise ReproError(f"unaligned extent {ext} at va={va:#x}")
-            while nbytes:
-                if (use_large_pages and va % LARGE_PAGE_SIZE == 0
-                        and pa % LARGE_PAGE_SIZE == 0
-                        and nbytes >= LARGE_PAGE_SIZE):
-                    step = LARGE_PAGE_SIZE
-                else:
-                    step = PAGE_SIZE
-                new.append(Mapping(va, pa, step, pinned))
-                va += step
-                pa += step
-                nbytes -= step
-        if not new:
-            return va
-        idx = bisect.bisect_left(self._vaddrs, vaddr)
-        if (idx < len(self._maps) and self._maps[idx].vaddr < va) or \
-                (idx > 0 and self._maps[idx - 1].vend > vaddr):
-            raise ReproError(f"mapping overlap in [{vaddr:#x}, {va:#x})")
-        self._vaddrs[idx:idx] = [m.vaddr for m in new]
-        self._maps[idx:idx] = new
-        return va
+            if ext.start * frame_size % PAGE_SIZE or ext.count < 0 or \
+                    ext.count * frame_size % PAGE_SIZE:
+                raise ReproError(f"unaligned extent {ext} at va={vaddr:#x}")
+        paddrs = [ext.start * frame_size for ext in extents if ext.count]
+        lens = [ext.count * frame_size for ext in extents if ext.count]
+        starts = list(accumulate(lens, initial=vaddr))
+        end = starts.pop()
+        if not use_large_pages:
+            sizes = [PAGE_SIZE] * len(lens)
+        else:
+            runs = [run for va, pa, nbytes in zip(starts, paddrs, lens)
+                    for run in _large_page_runs(va, pa, nbytes)]
+            starts, paddrs, lens, sizes = (
+                [list(col) for col in zip(*runs)] if runs else ([],) * 4)
+        self._insert(starts, paddrs, lens, sizes, [pinned] * len(lens))
+        return end
 
     def unmap_range(self, vaddr: int, length: int) -> List[Extent]:
         """Remove all mappings intersecting ``[vaddr, vaddr+length)``;
         returns the physical extents released (frame numbers), one per
         page in address order.  A page only partly inside the range
         raises and leaves the table unchanged."""
-        lo = bisect.bisect_right(self._vaddrs, vaddr) - 1
-        if lo < 0 or self._maps[lo].vend <= vaddr:
+        starts, lens, sizes = self._starts, self._lens, self._sizes
+        end = vaddr + length
+        lo = bisect.bisect_right(starts, vaddr) - 1
+        if lo < 0 or starts[lo] + lens[lo] <= vaddr:
             lo += 1
-        hi = bisect.bisect_left(self._vaddrs, vaddr + length, lo)
-        run = self._maps[lo:hi]
-        for m in run[:1] + run[-1:]:
-            if m.vaddr < vaddr or m.vend > vaddr + length:
-                raise ReproError(
-                    f"partial unmap of a {m.page_size}-byte page at "
-                    f"{m.vaddr:#x} (range [{vaddr:#x}, +{length:#x}))")
-        del self._vaddrs[lo:hi]
-        del self._maps[lo:hi]
-        return [Extent(m.paddr // PAGE_SIZE, m.page_size // PAGE_SIZE)
-                for m in run]
+        if lo == len(starts):
+            return []
+        # first page of the range: the one holding vaddr, or the next one
+        cut_lo = max(starts[lo], vaddr - vaddr % sizes[lo])
+        if cut_lo >= end:
+            return []
+        hi = bisect.bisect_left(starts, end, lo)
+        cut_hi = min(end, starts[hi - 1] + lens[hi - 1])
+        if cut_lo < vaddr or cut_hi % sizes[hi - 1]:
+            size = sizes[lo] if cut_lo < vaddr else sizes[hi - 1]
+            page = cut_lo if cut_lo < vaddr else cut_hi - cut_hi % size
+            raise ReproError(
+                f"partial unmap of a {size}-byte page at {page:#x} "
+                f"(range [{vaddr:#x}, +{length:#x}))")
+        released = [
+            Extent(frame, size // PAGE_SIZE)
+            for start, paddr, nbytes, size in zip(
+                starts[lo:hi], self._paddrs[lo:hi], lens[lo:hi], sizes[lo:hi])
+            for frame in range(
+                (paddr - start + max(cut_lo, start)) // PAGE_SIZE,
+                (paddr - start + min(cut_hi, start + nbytes)) // PAGE_SIZE,
+                size // PAGE_SIZE)]
+        # keep the parts of the end runs that lie outside the cut
+        head = self._piece(lo, starts[lo], cut_lo)
+        tail = self._piece(hi - 1, cut_hi, starts[hi - 1] + lens[hi - 1])
+        self._splice(lo, hi, *[a + b for a, b in zip(head, tail)])
+        self._entries -= len(released)
+        return released
 
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, vaddr: int) -> Mapping:
-        """The mapping covering ``vaddr`` (PageFault if none)."""
-        idx = bisect.bisect_right(self._vaddrs, vaddr) - 1
-        if idx >= 0:
-            m = self._maps[idx]
-            if vaddr < m.vaddr + m.page_size:  # and m.vaddr <= vaddr
-                return m
-        raise PageFault(self.owner, vaddr, "no mapping")
+        """The page mapping covering ``vaddr`` (PageFault if none)."""
+        i = self._run_at(vaddr)
+        size = self._sizes[i]
+        page = vaddr - vaddr % size
+        return Mapping(page, self._paddrs[i] + page - self._starts[i], size,
+                       self._pinned[i])
 
     def translate(self, vaddr: int) -> int:
         """Virtual to physical byte address."""
-        m = self.lookup(vaddr)
-        return m.paddr + (vaddr - m.vaddr)
+        i = self._run_at(vaddr)
+        return self._paddrs[i] + vaddr - self._starts[i]
 
     def is_pinned(self, vaddr: int, length: int) -> bool:
         """True if every page in the range is pinned."""
-        va = vaddr
-        end = vaddr + length
-        while va < end:
-            m = self.lookup(va)
-            if not m.pinned:
+        for i, _, _ in self._walk(vaddr, vaddr + length):
+            if not self._pinned[i]:
                 return False
-            va = m.vend
         return True
 
     def phys_spans(self, vaddr: int, length: int) -> List[Tuple[int, int]]:
@@ -163,31 +174,112 @@ class PageTable:
         references: one span can cover many pages when the backing memory
         is contiguous (section 3.4).
         """
-        if length < 0:
-            raise ReproError(f"negative length {length}")
         spans: List[Tuple[int, int]] = []
-        va, end = vaddr, vaddr + length
-        while va < end:
-            m = self.lookup(va)
-            pa = m.paddr + (va - m.vaddr)
-            chunk = min(m.vend, end) - va
+        for i, lo, hi in self._walk(vaddr, vaddr + length):
+            pa = self._paddrs[i] + lo - self._starts[i]
             if spans and spans[-1][0] + spans[-1][1] == pa:
-                spans[-1] = (spans[-1][0], spans[-1][1] + chunk)
+                spans[-1] = (spans[-1][0], spans[-1][1] + hi - lo)
             else:
-                spans.append((pa, chunk))
-            va += chunk
+                spans.append((pa, hi - lo))
         return spans
 
     def pages(self, vaddr: int, length: int) -> List[int]:
         """Physical addresses of the 4KB pages backing the range — the
         ``get_user_pages()`` view the Linux driver collects (one entry per
-        base page even inside a large page)."""
+        base page even inside a large page).  The range starts at the 4KB
+        page holding ``vaddr``, like gup does; it is empty if
+        ``length`` is 0."""
+        if length < 0:
+            raise ReproError(f"negative length {length}")
         out: List[int] = []
-        va = vaddr
-        end = vaddr + length
-        # align down to a 4KB boundary, like gup does
-        va -= va % PAGE_SIZE
-        while va < end:
-            out.append(self.translate(va))
-            va += PAGE_SIZE
+        if length == 0:
+            return out
+        for i, lo, hi in self._walk(vaddr - vaddr % PAGE_SIZE,
+                                    vaddr + length):
+            delta = self._paddrs[i] - self._starts[i]
+            out.extend(range(lo + delta, hi + delta, PAGE_SIZE))
         return out
+
+    # -- internals -----------------------------------------------------------
+
+    def _run_at(self, vaddr: int) -> int:
+        """Index of the run covering ``vaddr`` (PageFault if none)."""
+        i = bisect.bisect_right(self._starts, vaddr) - 1
+        if i >= 0 and vaddr < self._starts[i] + self._lens[i]:
+            return i
+        raise PageFault(self.owner, vaddr, "no mapping")
+
+    def _walk(self, vaddr: int,
+              end: int) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(run, lo, hi)`` for each run piece covering
+        ``[vaddr, end)`` in address order; PageFault at the first unmapped
+        address, ReproError on a negative length."""
+        if end < vaddr:
+            raise ReproError(f"negative length {end - vaddr}")
+        if end == vaddr:
+            return
+        starts, lens = self._starts, self._lens
+        i = self._run_at(vaddr)
+        while True:
+            run_end = starts[i] + lens[i]
+            if run_end >= end:
+                yield i, vaddr, end
+                return
+            yield i, vaddr, run_end
+            vaddr = run_end
+            i += 1
+            if i == len(starts) or starts[i] != vaddr:
+                raise PageFault(self.owner, vaddr, "no mapping")
+
+    def _piece(self, i: int, lo: int, hi: int) -> Tuple[list, ...]:
+        """Run ``i`` cut down to ``[lo, hi)`` as one-run columns (no run
+        if the piece is empty)."""
+        if lo >= hi:
+            return [], [], [], [], []
+        return ([lo], [self._paddrs[i] + lo - self._starts[i]], [hi - lo],
+                [self._sizes[i]], [self._pinned[i]])
+
+    def _insert(self, starts: List[int], paddrs: List[int], lens: List[int],
+                sizes: List[int], pinned: List[bool]) -> None:
+        """Splice new sorted, adjacent runs into the table after checking
+        the covered range against its neighbours once."""
+        if not starts:
+            return
+        vaddr, end = starts[0], starts[-1] + lens[-1]
+        idx = bisect.bisect_left(self._starts, vaddr)
+        if (idx < len(self._starts) and self._starts[idx] < end) or \
+                (idx > 0 and self._starts[idx - 1] + self._lens[idx - 1]
+                 > vaddr):
+            raise ReproError(f"mapping overlap in [{vaddr:#x}, {end:#x})")
+        self._splice(idx, idx, starts, paddrs, lens, sizes, pinned)
+        self._entries += sum(map(floordiv, lens, sizes))
+
+    def _splice(self, lo: int, hi: int, starts: List[int],
+                paddrs: List[int], lens: List[int], sizes: List[int],
+                pinned: List[bool]) -> None:
+        """Replace runs ``[lo, hi)`` of every column."""
+        self._starts[lo:hi] = starts
+        self._paddrs[lo:hi] = paddrs
+        self._lens[lo:hi] = lens
+        self._sizes[lo:hi] = sizes
+        self._pinned[lo:hi] = pinned
+
+
+def _large_page_runs(va: int, pa: int,
+                     nbytes: int) -> Iterator[Tuple[int, int, int, int]]:
+    """The runs one extent maps to under the large-page policy: 4KB pages
+    until both addresses are 2MB aligned, as many 2MB pages as fit, then
+    4KB pages again.  Yields ``(va, pa, nbytes, page_size)``."""
+    head = nbytes
+    if (va - pa) % LARGE_PAGE_SIZE == 0:
+        head = min(nbytes, -va % LARGE_PAGE_SIZE)
+    middle = (nbytes - head) // LARGE_PAGE_SIZE * LARGE_PAGE_SIZE
+    if not middle:
+        yield va, pa, nbytes, PAGE_SIZE
+        return
+    if head:
+        yield va, pa, head, PAGE_SIZE
+    yield va + head, pa + head, middle, LARGE_PAGE_SIZE
+    tail = nbytes - head - middle
+    if tail:
+        yield va + head + middle, pa + head + middle, tail, PAGE_SIZE

@@ -1,10 +1,14 @@
 """Unit tests for the frame allocator and the shared kernel heap."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.config import ALL_CONFIGS
 from repro.errors import OutOfMemory, ReproError
-from repro.hw import Extent, FrameAllocator, SharedHeap
+from repro.experiments.common import build_machine
+from repro.hw import FrameAllocator, SharedHeap
 
 
 # --- FrameAllocator ---------------------------------------------------------
@@ -94,10 +98,6 @@ def test_scattered_alloc_overcommit_rejected():
         fa.alloc_scattered(11, np.random.default_rng(0))
 
 
-def test_extent_byte_range():
-    assert Extent(2, 3).byte_range(4096) == (8192, 12288)
-
-
 # --- SharedHeap ---------------------------------------------------------------
 
 def test_kmalloc_roundtrip():
@@ -154,3 +154,69 @@ def test_live_object_accounting():
     heap.kfree(a)
     heap.kfree(b)
     assert heap.live_objects() == 0
+
+
+# --- SharedHeap backing grows with its break ----------------------------------
+
+def test_read_past_the_break_returns_zeros():
+    heap = SharedHeap(1 << 20, base=0x1000)
+    a = heap.kmalloc(64)
+    heap.write(a, b"\xff" * 64)
+    # inside the heap, beyond anything allocated or written
+    assert heap.read(0x1000 + 4096, 32) == bytes(32)
+    # straddling the end of the written bytes
+    assert heap.read(a + 60, 8) == b"\xff" * 4 + bytes(4)
+    assert heap.read_u(heap.end - 8, 8) == 0
+
+
+def test_write_past_the_break_reads_back():
+    heap = SharedHeap(1 << 20, base=0)
+    heap.write(0x8000, b"\xab\xcd")
+    assert heap.read(0x7FFF, 4) == b"\x00\xab\xcd\x00"
+    # the zeros in front of it stay zero, and kmalloc still starts at 0
+    assert heap.read(0, 16) == bytes(16)
+    assert heap.kmalloc(16) == 0
+
+
+def test_access_outside_the_heap_still_raises():
+    heap = SharedHeap(4096, base=0x10000)
+    for addr, size in ((0x10000 - 1, 1), (0x10000 + 4096, 1),
+                       (0x10000 + 4090, 8)):
+        with pytest.raises(ReproError):
+            heap.read(addr, size)
+        with pytest.raises(ReproError):
+            heap.write(addr, bytes(size))
+
+
+def test_recycled_kmalloc_is_zeroed_past_the_first_allocation():
+    heap = SharedHeap(1 << 16, base=0)
+    first = [heap.kmalloc(100) for _ in range(4)]
+    for addr in first:
+        heap.write(addr, b"\x5a" * 100)
+    heap.kfree(first[2])
+    again = heap.kmalloc(90)  # same 128-byte size class
+    assert again == first[2]
+    assert heap.read(again, 90) == bytes(90)
+
+
+def test_exhaustion_raises_at_the_same_allocation():
+    heap = SharedHeap(1024, base=0)
+    got = [heap.kmalloc(128) for _ in range(8)]
+    assert got == [i * 128 for i in range(8)]
+    with pytest.raises(OutOfMemory):
+        heap.kmalloc(1)
+
+
+@pytest.mark.parametrize("os_config", ALL_CONFIGS, ids=lambda c: c.value)
+def test_machine_build_does_not_back_the_whole_heap(os_config):
+    """Each node's 8 MiB heap is backed only up to its break, so building
+    a 2-node machine stays far below the 16 MiB two full heaps take."""
+    build_machine(2, os_config)  # warm imports and caches
+    tracemalloc.start()
+    try:
+        machine = build_machine(2, os_config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(n.node.kheap.size == 8 << 20 for n in machine.nodes)
+    assert peak < 2 << 20

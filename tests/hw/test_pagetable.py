@@ -1,11 +1,13 @@
 """Unit and property tests for page tables and physical-span iteration."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PageFault, ReproError
-from repro.hw import Extent, PageTable
+from repro.hw import Extent, Mapping, PageTable
 from repro.units import LARGE_PAGE_SIZE, PAGE_SIZE
 
 
@@ -282,3 +284,195 @@ def test_failed_partial_unmap_leaves_table_unchanged():
     with pytest.raises(ReproError):
         pt.unmap_range(0, LARGE_PAGE_SIZE + PAGE_SIZE)
     assert entries(pt) == before
+
+
+# --- empty and negative ranges -------------------------------------------------
+
+def test_empty_range_has_no_pages():
+    """A zero-length range touches no page: gup pins and charges nothing."""
+    pt = PageTable("test")
+    pt.map_extents(0x10000, [Extent(7, 2)])
+    assert pt.pages(0x10010, 0) == []
+    assert pt.phys_spans(0x10010, 0) == []
+    assert pt.is_pinned(0x10010, 0) is True
+    # ... even where nothing is mapped
+    assert pt.pages(0x90010, 0) == []
+    assert pt.phys_spans(0x90010, 0) == []
+    assert pt.is_pinned(0x90010, 0) is True
+
+
+@pytest.mark.parametrize("query", ["pages", "phys_spans", "is_pinned"])
+def test_negative_length_is_rejected(query):
+    pt = PageTable("test")
+    pt.map_extents(0x10000, [Extent(7, 2)], pinned=True)
+    for vaddr in (0x10010, 0x11000):
+        with pytest.raises(ReproError):
+            getattr(pt, query)(vaddr, -5)
+
+
+# --- read side vs a per-page reference walk -------------------------------------
+
+def model_entries(vaddr, extents, pinned, use_large_pages):
+    """The page entries ``map_extents`` installs, one ``Mapping`` per page,
+    chosen page by page with the greedy large-page rule."""
+    out, va = [], vaddr
+    for ext in extents:
+        pa, nbytes = ext.start * PAGE_SIZE, ext.count * PAGE_SIZE
+        while nbytes:
+            step = PAGE_SIZE
+            if (use_large_pages and va % LARGE_PAGE_SIZE == 0
+                    and pa % LARGE_PAGE_SIZE == 0
+                    and nbytes >= LARGE_PAGE_SIZE):
+                step = LARGE_PAGE_SIZE
+            out.append(Mapping(va, pa, step, pinned))
+            va += step
+            pa += step
+            nbytes -= step
+    return out
+
+
+class PerPageModel:
+    """A page table as a plain sorted list of page entries, queried by
+    walking it one page at a time."""
+
+    def __init__(self, owner, entries=()):
+        self.owner = owner
+        self.entries = sorted(entries)
+
+    def entry(self, va):
+        i = bisect.bisect_right(self.entries, (va, float("inf"))) - 1
+        if i >= 0 and va < self.entries[i].vend:
+            return self.entries[i]
+        raise PageFault(self.owner, va, "no mapping")
+
+    def translate(self, va):
+        m = self.entry(va)
+        return m.paddr + va - m.vaddr
+
+    def pages(self, vaddr, length):
+        if length < 0:
+            raise ReproError("negative length")
+        va, out = vaddr - vaddr % PAGE_SIZE, []
+        while va < vaddr + length and length:
+            out.append(self.translate(va))
+            va += PAGE_SIZE
+        return out
+
+    def phys_spans(self, vaddr, length):
+        if length < 0:
+            raise ReproError("negative length")
+        va, end, spans = vaddr, vaddr + length, []
+        while va < end:
+            m = self.entry(va)
+            pa = m.paddr + va - m.vaddr
+            chunk = min(m.vend, end) - va
+            if spans and sum(spans[-1]) == pa:
+                spans[-1] = (spans[-1][0], spans[-1][1] + chunk)
+            else:
+                spans.append((pa, chunk))
+            va += chunk
+        return spans
+
+    def is_pinned(self, vaddr, length):
+        if length < 0:
+            raise ReproError("negative length")
+        va = vaddr
+        while va < vaddr + length:
+            m = self.entry(va)
+            if not m.pinned:
+                return False
+            va = m.vend
+        return True
+
+    def unmap(self, vaddr, length):
+        hit = [m for m in self.entries
+               if m.vaddr < vaddr + length and m.vend > vaddr]
+        if any(m.vaddr < vaddr or m.vend > vaddr + length for m in hit):
+            raise ReproError("partial unmap")
+        self.entries = [m for m in self.entries
+                        if m.vend <= vaddr or m.vaddr >= vaddr + length]
+        return [Extent(m.paddr // PAGE_SIZE, m.page_size // PAGE_SIZE)
+                for m in hit]
+
+
+def outcome(fn, *args):
+    """What a query returns, or the fault (and its address) it raises."""
+    try:
+        return "ok", fn(*args)
+    except PageFault as fault:
+        return "fault", fault.addr
+    except ReproError:
+        return "error", None
+
+
+def check_read_side(pt, model, queries):
+    assert len(pt) == len(model.entries)
+    for m in model.entries:
+        for va in (m.vaddr, m.vend - 1, m.vaddr + m.page_size // 2 + 3):
+            assert pt.lookup(va) == m
+            assert pt.translate(va) == model.translate(va)
+    for vaddr, length in queries:
+        for va in (vaddr, vaddr + length):
+            assert outcome(pt.lookup, va) == outcome(model.entry, va)
+            assert outcome(pt.translate, va) == outcome(model.translate, va)
+        for query in ("pages", "phys_spans", "is_pinned"):
+            assert outcome(getattr(pt, query), vaddr, length) == \
+                outcome(getattr(model, query), vaddr, length), query
+
+
+#: a query range: anywhere in the layout's span, unaligned, possibly
+#: crossing gaps and page-size changes, empty or negative now and then
+query = st.tuples(st.integers(0, 4 * LARGE_PAGE_SIZE),
+                  st.one_of(st.integers(-PAGE_SIZE, 3 * PAGE_SIZE),
+                            st.integers(0, LARGE_PAGE_SIZE + 4 * PAGE_SIZE)))
+
+
+@given(regions=st.lists(region, min_size=1, max_size=5),
+       large=st.booleans(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_read_side_matches_per_page_walk(regions, large, data):
+    pt, model = PageTable("runs"), PerPageModel("runs")
+    for page, spans, pinned in regions:
+        extents = [Extent(start, count) for start, count in spans]
+        vaddr = page * PAGE_SIZE
+        new = model_entries(vaddr, extents, pinned, large)
+        if new and any(m.vaddr < new[-1].vend and new[0].vaddr < m.vend
+                       for m in model.entries):
+            continue  # overlap: covered by the map/unmap property above
+        pt.map_extents(vaddr, extents, pinned=pinned, use_large_pages=large)
+        model = PerPageModel(model.owner, model.entries + new)
+    # ranges anchored on mapped pages, so most of them hit something
+    anchored = [(m.vaddr + delta, length) for m, delta, length in data.draw(
+        st.lists(st.tuples(st.sampled_from(model.entries),
+                           st.integers(-PAGE_SIZE, PAGE_SIZE),
+                           query.map(lambda q: q[1])), max_size=8)
+        if model.entries else st.just([]))]
+    queries = data.draw(st.lists(query, max_size=8)) + anchored
+    check_read_side(pt, model, queries)
+    # cut a hole inside one run, then check again
+    if model.entries:
+        m = data.draw(st.sampled_from(model.entries))
+        vaddr = m.vaddr - data.draw(st.integers(0, 8)) * PAGE_SIZE
+        length = data.draw(st.integers(0, 8)) * PAGE_SIZE + m.page_size
+        got = outcome(pt.unmap_range, vaddr, length)
+        assert got == outcome(model.unmap, vaddr, length)
+        check_read_side(pt, model, queries)
+
+
+def test_unmap_inside_a_run_splits_it():
+    """A cut from the middle of the 4KB head, through the 2MB page, into
+    the 4KB tail leaves a piece of each 4KB run behind."""
+    va = LARGE_PAGE_SIZE - 2 * PAGE_SIZE
+    extents = [Extent(LP_FRAMES - 2, LP_FRAMES + 5)]
+    pt = PageTable("split")
+    pt.map_extents(va, extents, pinned=True, use_large_pages=True)
+    model = PerPageModel("split", model_entries(va, extents, True, True))
+    assert [m.page_size for m in model.entries[:4]] == [PAGE_SIZE] * 2 + \
+        [LARGE_PAGE_SIZE, PAGE_SIZE]
+    cut = (va + PAGE_SIZE, PAGE_SIZE + LARGE_PAGE_SIZE + PAGE_SIZE)
+    assert pt.unmap_range(*cut) == model.unmap(*cut)
+    assert len(pt) == 1 + 2  # one head page, two tail pages
+    check_read_side(pt, model, [(0, 3 * LARGE_PAGE_SIZE),
+                                (va + 5, 10),
+                                (va + PAGE_SIZE, 10),
+                                (2 * LARGE_PAGE_SIZE + PAGE_SIZE, 100)])
