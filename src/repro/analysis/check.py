@@ -60,6 +60,7 @@ hooks.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -73,10 +74,9 @@ from .lockdep import reset_active_validators
 #: OSConfig by its CLI/script name ("linux", "mckernel", "mckernel_hfi")
 _OS_BY_NAME = {cfg.value: cfg for cfg in ALL_CONFIGS}
 
-#: same-time groups larger than this skip canonicalization (the greedy
-#: linearization is quadratic per group); dedup just misses more, which
-#: is the safe direction
-_CANON_GROUP_CAP = 32
+#: footprint digest of a step that touched no shared-heap word (most
+#: steps), so their labels skip the hash
+_EMPTY_FOOTPRINT = hashlib.sha1(b"[]|[]").hexdigest()[:12]
 
 
 # --- schedules --------------------------------------------------------------
@@ -290,33 +290,46 @@ def _dependent(a: _StepRecord, b: _StepRecord) -> bool:
 
 def _step_label(step: _StepRecord) -> Tuple:
     """A stable, execution-order-free label for one step."""
-    digest = hashlib.sha1(
-        (repr(sorted(step.reads)) + "|"
-         + repr(sorted(step.writes))).encode()).hexdigest()[:12]
+    if step.reads or step.writes:
+        digest = hashlib.sha1(
+            (repr(sorted(step.reads)) + "|"
+             + repr(sorted(step.writes))).encode()).hexdigest()[:12]
+    else:
+        digest = _EMPTY_FOOTPRINT
     return (tuple(sorted(step.resumed_names)), digest)
 
 
 def _canonical_group(group: List[_StepRecord]) -> List[Tuple]:
     """Greedy minimal-label linearization of one same-time group,
     respecting the dependence partial order — two runs that interleave
-    the same independent steps differently canonicalize identically."""
-    if len(group) > _CANON_GROUP_CAP:
-        return [_step_label(s) for s in group]
+    the same independent steps differently canonicalize identically.
+
+    The greedy rule emits, at each pick, the smallest ``(label, index)``
+    step whose dependent predecessors in the group are all emitted.
+    One O(g²) pass builds the dependence edges; Kahn's algorithm then
+    pops the ready steps from a heap keyed on ``(label, index)``."""
     labels = [_step_label(s) for s in group]
+    if len(group) == 1:
+        return labels
+    # unemitted dependent predecessors of each step
+    waiting = [0] * len(group)
+    successors: List[List[int]] = [[] for _ in group]
+    for i in range(1, len(group)):
+        later = group[i]
+        for j in range(i):
+            if _dependent(group[j], later):
+                successors[j].append(i)
+                waiting[i] += 1
+    ready = [(labels[i], i) for i in range(len(group)) if not waiting[i]]
+    heapq.heapify(ready)
     order: List[Tuple] = []
-    remaining = list(range(len(group)))
-    while remaining:
-        best = None
-        for i in remaining:
-            if any(j < i and _dependent(group[j], group[i])
-                   for j in remaining):
-                continue  # a dependent predecessor must go first
-            if best is None or labels[i] < labels[best]:
-                best = i
-        if best is None:  # pragma: no cover - cycle-free by construction
-            best = remaining[0]
-        order.append(labels[best])
-        remaining.remove(best)
+    while ready:
+        label, i = heapq.heappop(ready)
+        order.append(label)
+        for k in successors[i]:
+            waiting[k] -= 1
+            if not waiting[k]:
+                heapq.heappush(ready, (labels[k], k))
     return order
 
 

@@ -45,6 +45,7 @@ import os
 import sys
 from collections import deque
 from dataclasses import dataclass
+from types import FrameType
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 #: module-level registry of live detectors, in construction order — the
@@ -54,6 +55,9 @@ ACTIVE_DETECTORS: List["RaceDetector"] = []
 
 #: instrumentation-layer files skipped when attributing an access site
 _SKIP_FILES = frozenset({"memory.py", "structs.py", "extract.py", "ksan.py"})
+
+#: lockset of a kernel that holds no cross-kernel lock
+_NO_LOCKS: FrozenSet[str] = frozenset()
 
 
 def reset_active_detectors() -> None:
@@ -69,16 +73,29 @@ def active_race_reports() -> List["RaceReport"]:
     return reports
 
 
-def _call_site(depth: int = 2) -> str:
-    """``file.py:line in function`` of the first frame outside the
-    instrumentation layers (the driver/experiment code that accessed)."""
-    frame = sys._getframe(depth)
+class _Basenames(dict):
+    """``co_filename`` -> its ``os.path.basename``, computed once per file."""
+
+    def __missing__(self, path: str) -> str:
+        base = self[path] = os.path.basename(path)
+        return base
+
+
+_BASENAMES = _Basenames()
+
+
+def call_site(frame: Optional[FrameType],
+              skip: FrozenSet[str] = frozenset()) -> str:
+    """``file.py:line in function`` of the first frame at or above
+    ``frame`` whose file is not in ``skip`` (the instrumentation layers
+    a sanitizer attributes past).  KSan and lockdep share this walk."""
     while frame is not None:
-        base = os.path.basename(frame.f_code.co_filename)
-        if base not in _SKIP_FILES:
-            return f"{base}:{frame.f_lineno} in {frame.f_code.co_name}"
+        code = frame.f_code
+        base = _BASENAMES[code.co_filename]
+        if base not in skip:
+            return f"{base}:{frame.f_lineno} in {code.co_name}"
         frame = frame.f_back
-    return "<unknown>"  # pragma: no cover - frames always bottom out
+    return "<unknown>"
 
 
 @dataclass(frozen=True)
@@ -204,23 +221,24 @@ class RaceDetector:
             del self._words[key]
 
     def on_access(self, kind: str, addr: int, size: int, heap) -> None:
-        """Heap hook: fold one read/write into the lockset analysis."""
+        """Heap hook: fold one read/write into the lockset analysis.
+
+        The attributed :class:`HeapAccess` (and its call-site walk) is
+        built only when it is kept: as the first sample of its
+        ``(kernel, kind)`` slot, or as the access that completes a
+        violation."""
         pending, self._pending = self._pending, None
         if pending is None or pending[0] is None:
             self.unattributed += 1
             return
         kernel, label, atomic = pending
-        lockset = frozenset(self._held.get(kernel, ()))
-        access = HeapAccess(kernel=kernel, kind=kind, addr=addr, size=size,
-                            label=label, site=_call_site(2), time=self._now(),
-                            lockset=lockset, atomic=atomic)
+        held = self._held.get(kernel, _NO_LOCKS)
         key = (addr, size)
         state = self._words.get(key)
         if state is None:
             state = self._words[key] = _WordState(kernel, label)
         if label:
             state.label = label
-        state.samples.setdefault((kernel, kind), access)
         if kind == "write":
             state.writers.add(kernel)
             if not atomic:
@@ -231,10 +249,23 @@ class RaceDetector:
             state.shared = True
             if not atomic:
                 if state.candidate is None:
-                    state.candidate = set(lockset)
+                    state.candidate = set(held)
                 else:
-                    state.candidate &= lockset
-        self._check(state, access)
+                    state.candidate &= held
+        slot = (kernel, kind)
+        sample = slot not in state.samples
+        violated = self._violated(state)
+        if not (sample or violated):
+            return
+        access = HeapAccess(kernel=kernel, kind=kind, addr=addr, size=size,
+                            label=label,
+                            site=call_site(sys._getframe(1), _SKIP_FILES),
+                            time=self._now(), lockset=frozenset(held),
+                            atomic=atomic)
+        if sample:
+            state.samples[slot] = access
+        if violated:
+            self._report(state, access)
 
     # -- results ----------------------------------------------------------
 
@@ -254,13 +285,17 @@ class RaceDetector:
     def _now(self) -> float:
         return self.sim.now if self.sim is not None else 0.0
 
-    def _check(self, state: _WordState, access: HeapAccess) -> None:
-        """Report the word once when the Eraser condition trips."""
-        if (state.reported or not state.shared
-                or len(state.writers) < 2
-                or not state.nonatomic_writers
-                or state.candidate is None or state.candidate):
-            return
+    @staticmethod
+    def _violated(state: _WordState) -> bool:
+        """The Eraser condition, true once per word: shared, written by
+        two kernels (one non-atomically), empty candidate lockset."""
+        return not (state.reported or not state.shared
+                    or len(state.writers) < 2
+                    or not state.nonatomic_writers
+                    or state.candidate is None or state.candidate)
+
+    def _report(self, state: _WordState, access: HeapAccess) -> None:
+        """Record the race on ``state``'s word; ``access`` completed it."""
         state.reported = True
         # both access sites: first write per kernel, plus the access that
         # completed the violation if it is not one of those already

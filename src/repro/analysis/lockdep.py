@@ -57,6 +57,7 @@ from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
 from ..errors import ReproError
+from .ksan import call_site
 from .lint import (Finding, _ClassInfo, _dotted, _suppressed,
                    default_lint_root, iter_python_files)
 
@@ -155,25 +156,6 @@ def tag_irq_generator(gen, kernel: str = "linux"):
 
 
 # --- dynamic view ------------------------------------------------------------
-
-def _frame_site(frame) -> str:
-    """KSan-style ``file.py:line in function`` for a live frame."""
-    if frame is None:
-        return "<unknown>"
-    base = os.path.basename(frame.f_code.co_filename)
-    return f"{base}:{frame.f_lineno} in {frame.f_code.co_name}"
-
-
-def _wait_site() -> str:
-    """The first frame outside the instrumentation layers."""
-    frame = sys._getframe(1)
-    while frame is not None:
-        base = os.path.basename(frame.f_code.co_filename)
-        if base not in _SKIP_FILES:
-            return f"{base}:{frame.f_lineno} in {frame.f_code.co_name}"
-        frame = frame.f_back
-    return "<unknown>"  # pragma: no cover - frames always bottom out
-
 
 @dataclass(frozen=True)
 class LockAcquisition:
@@ -297,7 +279,7 @@ class LockdepValidator:
         stack = self._held.setdefault(key, [])
         acq = LockAcquisition(
             lock_name=lock.name, lock_class=lock.name, kernel=kernel,
-            context=context, site=_frame_site(frame), time=self._now(),
+            context=context, site=call_site(frame), time=self._now(),
             rank=None if declared is None else declared.rank,
             held=tuple(lv.acq.lock_class for lv in stack))
         self._acquisitions += 1
@@ -334,7 +316,7 @@ class LockdepValidator:
             for live in stack:
                 if id(live.frame) not in chain:
                     continue
-                site = _wait_site()
+                site = call_site(sys._getframe(), _SKIP_FILES)
                 dedup = (live.acq.lock_class, site)
                 if dedup in self._reported_waits:
                     continue

@@ -256,10 +256,6 @@ class CommCostModel:
     # structural helpers
     # ------------------------------------------------------------------
 
-    @property
-    def compute_factor(self) -> float:
-        return 1.0
-
     def tlb_factor(self) -> float:
         """Large-page/contiguous memory speedup of library-internal
         pointer-chasing work (MPI_Cart_create reorder on KNL)."""

@@ -17,11 +17,15 @@ it.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple, TypeVar
 
 from ..errors import DwarfError
 from .structs import CStructDef, CType
+
+_T = TypeVar("_T")
 
 # DWARF tag and attribute names (subset used by dwarf-extract-struct).
 DW_TAG_compile_unit = "DW_TAG_compile_unit"
@@ -99,11 +103,12 @@ class DwarfInfo:
             stack.extend(reversed(die.children))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModuleBinary:
     """A built kernel module as shipped: name, version string and its
     embedded debug information.  The runtime struct definitions stay
-    *private* to the driver; consumers get DWARF only."""
+    *private* to the driver; consumers get DWARF only.  Frozen because
+    every driver build of one release shares its binary."""
 
     name: str
     version: str
@@ -111,6 +116,25 @@ class ModuleBinary:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ModuleBinary {self.name} v{self.version}>"
+
+
+def once_per_version(build: Callable[[str], _T]) -> Callable[[str], _T]:
+    """Decorator for a driver's ``build(version)``: the first call per
+    version builds, later calls return the same object.  A driver's
+    struct definitions and DWARF depend only on its release, so every
+    driver build of one version shares them; ``build`` must return
+    something no consumer can change (a read-only mapping, a frozen
+    :class:`ModuleBinary`).  ``version=`` keeps ``build``'s default."""
+    built: Dict[str, _T] = {}
+    default = inspect.signature(build).parameters["version"].default
+
+    @functools.wraps(build)
+    def cached(version: str = default) -> _T:
+        if version not in built:
+            built[version] = build(version)
+        return built[version]
+
+    return cached
 
 
 def emit_dwarf(structs: List[CStructDef], producer: str = "simcc 1.0",

@@ -96,7 +96,7 @@ class CStructDef:
         if len(set(names)) != len(names):
             raise ReproError(f"struct {name} has duplicate field names")
         self.name = name
-        self.fields = list(fields)
+        self.fields = tuple(fields)
         self._offsets: Dict[str, int] = {}
         off = 0
         max_align = 1

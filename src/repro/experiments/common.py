@@ -169,11 +169,6 @@ class Machine:
 
     # -- rank placement --------------------------------------------------------
 
-    def app_kernel(self, node_idx: int):
-        """The kernel application ranks run on for this configuration."""
-        mnode = self.nodes[node_idx]
-        return mnode.mckernel if self.os_config.is_multikernel else mnode.linux
-
     def spawn_rank(self, node_idx: int, local_rank: int,
                    global_rank: Optional[int] = None) -> Task:
         """Create one application rank pinned to its own core."""

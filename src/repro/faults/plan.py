@@ -186,17 +186,21 @@ class FaultInjector:
 
     def fires(self, point: str) -> bool:
         """True if the named fault point fires at this opportunity."""
-        rate = self.plan.rate_of(point)
         if self.plan.deterministic:
             # exact placement mode: count the opportunity, fire on an
-            # exact (point, occurrence) match, never touch the RNG
-            idx = self.occurrences.get(point, 0)
+            # exact (point, occurrence) match, never touch the RNG or
+            # the rates
+            idx = self.occurrences.get(point)
+            if idx is None:
+                self.plan.rate_of(point)  # rejects an unknown point
+                idx = 0
             self.occurrences[point] = idx + 1
             if (point, idx) not in self._scheduled:
                 return False
             if self.tracer is not None:
                 self.tracer.count(f"faults.{point}")
             return True
+        rate = self.plan.rate_of(point)
         if rate <= 0.0:
             return False
         stream = self._streams.get(point)

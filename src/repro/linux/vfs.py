@@ -87,10 +87,6 @@ class VFS:
             raise BadSyscall(f"device {path} already registered")
         self._chrdevs[path] = ops
 
-    def unregister_chrdev(self, path: str) -> None:
-        """Remove a device registration."""
-        self._chrdevs.pop(path, None)
-
     def lookup(self, path: str) -> FileOps:
         """File operations for a path (plain files get defaults)."""
         ops = self._chrdevs.get(path)

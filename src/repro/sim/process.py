@@ -39,10 +39,6 @@ class Process(Event):
         self._waiting_on: Event = sim.timeout(0.0)
         self._waiting_on.add_callback(self._resume)
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 

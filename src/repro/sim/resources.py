@@ -43,7 +43,6 @@ class Resource:
         self.queue: Deque[Request] = deque()
         # occupancy statistics (time-weighted)
         self._busy_area = 0.0
-        self._queue_area = 0.0
         self._last_stamp = sim.now
 
     # -- API ---------------------------------------------------------------
@@ -86,12 +85,6 @@ class Resource:
         elapsed = self.sim.now
         return self._busy_area / (elapsed * self.capacity) if elapsed else 0.0
 
-    def mean_queue_length(self) -> float:
-        """Time-averaged queue length since simulator start."""
-        self._account()
-        elapsed = self.sim.now
-        return self._queue_area / elapsed if elapsed else 0.0
-
     # -- internals ----------------------------------------------------------
 
     def _grant_next(self) -> None:
@@ -104,7 +97,6 @@ class Resource:
         dt = self.sim.now - self._last_stamp
         if dt > 0:
             self._busy_area += dt * len(self.users)
-            self._queue_area += dt * len(self.queue)
             self._last_stamp = self.sim.now
 
 

@@ -6,10 +6,16 @@ from McKernel without the shared lock), and the no-false-positive
 guarantee on the shipped ping-pong workload in all three OS configs.
 """
 
-import pytest
+import os
+import sys
 
-from repro.analysis.ksan import (ACTIVE_DETECTORS, RaceDetector,
-                                 active_race_reports,
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import ksan
+from repro.analysis.ksan import (ACTIVE_DETECTORS, HeapAccess, RaceDetector,
+                                 RaceReport, _WordState, active_race_reports,
                                  reset_active_detectors)
 from repro.config import ALL_CONFIGS, KSAN, OSConfig
 from repro.core import (CrossKernelSpinLock, linux_layout,
@@ -272,3 +278,153 @@ def test_shipped_pingpong_is_race_free(sanitized, cfg):
 def test_race_detection_flag_restored_by_fixture():
     """Guard against fixture leakage into the perf-sensitive default."""
     assert KSAN.enabled is False
+
+
+# --- lazy samples against the eager reference ---------------------------------
+
+def _eager_site(frame) -> str:
+    while frame is not None:
+        base = os.path.basename(frame.f_code.co_filename)
+        if base not in ksan._SKIP_FILES:
+            return f"{base}:{frame.f_lineno} in {frame.f_code.co_name}"
+        frame = frame.f_back
+    return "<unknown>"
+
+
+class EagerDetector(RaceDetector):
+    """Reference model: KSan as first written, which built a
+    ``HeapAccess`` (and walked the stack for its site) on every
+    attributed access and kept the first one per (kernel, kind)."""
+
+    def on_access(self, kind, addr, size, heap):
+        pending, self._pending = self._pending, None
+        if pending is None or pending[0] is None:
+            self.unattributed += 1
+            return
+        kernel, label, atomic = pending
+        lockset = frozenset(self._held.get(kernel, ()))
+        access = HeapAccess(kernel=kernel, kind=kind, addr=addr, size=size,
+                            label=label, site=_eager_site(sys._getframe(1)),
+                            time=self._now(), lockset=lockset, atomic=atomic)
+        key = (addr, size)
+        state = self._words.get(key)
+        if state is None:
+            state = self._words[key] = _WordState(kernel, label)
+        if label:
+            state.label = label
+        state.samples.setdefault((kernel, kind), access)
+        if kind == "write":
+            state.writers.add(kernel)
+            if not atomic:
+                state.nonatomic_writers.add(kernel)
+        if state.shared or kernel != state.first_kernel:
+            state.shared = True
+            if not atomic:
+                if state.candidate is None:
+                    state.candidate = set(lockset)
+                else:
+                    state.candidate &= lockset
+        if (state.reported or not state.shared
+                or len(state.writers) < 2
+                or not state.nonatomic_writers
+                or state.candidate is None or state.candidate):
+            return
+        state.reported = True
+        picked = [state.samples[k] for k in sorted(state.samples)
+                  if k[1] == "write"]
+        if access not in picked:
+            picked.append(access)
+        self.races.append(RaceReport(
+            addr=access.addr, size=access.size, label=state.label,
+            accesses=tuple(picked),
+            holder_history=tuple(self._lock_history)))
+
+
+class _Clock:
+    now = 0.0
+
+
+def _drive(det, ops) -> None:
+    """Feed one op script to a detector through its hooks, called
+    directly so the site is this frame (no skipped layer in between)."""
+    for t, op in enumerate(ops):
+        det.sim.now = float(t)
+        if op[0] == "lock":
+            _, kernel, acquire = op
+            if acquire:
+                det.on_lock_acquired("ring.lock", kernel)
+            else:
+                det.on_lock_released("ring.lock", kernel)
+        else:
+            _, kernel, kind, word, atomic = op
+            det.annotate(kernel, f"ring.w{word}", atomic=atomic)
+            det.on_access(kind, 0x40 + 8 * word, 8, None)
+
+
+_KERNELS = st.sampled_from(["linux", "mckernel"])
+_ACCESS = st.tuples(st.just("access"), _KERNELS,
+                    st.sampled_from(["read", "write"]), st.integers(0, 1),
+                    st.sampled_from([False, False, False, True]))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("lock"), _KERNELS, st.booleans()),
+    _ACCESS, _ACCESS, _ACCESS), min_size=8, max_size=40)
+
+
+def _both(ops):
+    lazy = RaceDetector(sim=_Clock(), register=False)
+    eager = EagerDetector(sim=_Clock(), register=False)
+    _drive(lazy, ops)
+    _drive(eager, ops)
+    return lazy, eager
+
+
+@given(ops=_OPS)
+@settings(max_examples=200, deadline=None)
+def test_lazy_samples_match_the_eager_reference(ops):
+    """Same reports, byte for byte, on random hook scripts: the accesses
+    with sites and times, the locksets and the holder history."""
+    lazy, eager = _both(ops)
+    assert lazy.races == eager.races
+    assert [r.render() for r in lazy.races] \
+        == [r.render() for r in eager.races]
+    assert lazy.words_tracked() == eager.words_tracked()
+
+
+def test_violation_completed_by_an_already_sampled_read():
+    """The completing access is not a kept sample (its slot is full), so
+    it is built only for the report — at the hook caller's frame."""
+    ops = [("lock", "linux", True), ("lock", "mckernel", True),
+           ("access", "linux", "write", 0, False),
+           ("access", "mckernel", "write", 0, False),
+           ("access", "mckernel", "read", 0, False),    # locked: clean
+           ("lock", "mckernel", False),
+           ("access", "mckernel", "read", 0, False)]    # completes it
+    lazy, eager = _both(ops)
+    assert lazy.races == eager.races and len(lazy.races) == 1
+    accesses = lazy.races[0].accesses
+    assert [(a.kernel, a.kind, a.time) for a in accesses] \
+        == [("linux", "write", 2.0), ("mckernel", "write", 3.0),
+            ("mckernel", "read", 6.0)]
+    assert accesses[-1].lockset == frozenset()
+    assert all(a.site.startswith("test_ksan.py:") and a.site.endswith(
+        " in _drive") for a in accesses)
+
+
+def _seeded_rogue_race():
+    from repro.experiments import build_machine
+    machine = build_machine(1, OSConfig.MCKERNEL_HFI)
+    node = machine.nodes[0]
+    rogue = StructView(node.pico.layouts["sdma_state"], node.node.kheap,
+                       node.driver.engine_states[0].addr)
+    rogue.set("current_state", 0)
+    return machine.race_reports()
+
+
+def test_seeded_rogue_write_matches_the_eager_reference(sanitized,
+                                                        monkeypatch):
+    lazy = _seeded_rogue_race()
+    monkeypatch.setattr(ksan, "RaceDetector", EagerDetector)
+    eager = _seeded_rogue_race()
+    assert len(lazy) == 1
+    assert [r.accesses for r in lazy] == [r.accesses for r in eager]
+    assert [r.render() for r in lazy] == [r.render() for r in eager]

@@ -145,3 +145,29 @@ def test_tracer_counts_only_the_scheduled_firing():
     for _ in range(4):
         inj.fires("irq.lost")
     assert tracer.get_count("faults.irq.lost") == 1
+
+
+def test_placement_mode_rejects_an_unknown_fault_point():
+    """Placement mode reads no rate, yet an unknown point still fails
+    with the random path's error, on every call, and is never counted."""
+    inj = make_injector(FaultPlan.placed(ScheduledFault("irq.lost", 0)))
+    for _ in range(2):
+        with pytest.raises(ReproError, match="unknown fault point "
+                                             "'meteor.strike'"):
+            inj.fires("meteor.strike")
+    assert inj.occurrences == {}
+
+
+def test_placement_mode_checks_each_point_once(monkeypatch):
+    """The name check runs on a point's first opportunity only; later
+    opportunities cost a counter bump and a set lookup."""
+    looked_up = []
+    rate_of = FaultPlan.rate_of
+    monkeypatch.setattr(FaultPlan, "rate_of",
+                        lambda plan, point: looked_up.append(point)
+                        or rate_of(plan, point))
+    inj = make_injector(FaultPlan.placed(ScheduledFault("irq.lost", 3)))
+    fired = [inj.fires("irq.lost") for _ in range(5)]
+    inj.fires("fabric.drop")
+    assert fired == [False, False, False, True, False]
+    assert looked_up == ["irq.lost", "fabric.drop"]
