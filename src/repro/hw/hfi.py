@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import (Callable, Deque, Dict, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..analysis.lockdep import irq_enter, irq_exit
 from ..config import FAULTS, GUARD, TRACE
@@ -32,9 +33,9 @@ from ..params import NicParams
 from ..sim import Event, Resource, Simulator, Store, Tracer
 
 
-@dataclass(frozen=True)
-class SdmaDescriptor:
-    """One SDMA transfer request: a physically contiguous span."""
+class SdmaDescriptor(NamedTuple):
+    """One SDMA transfer request: a physically contiguous span.  A named
+    tuple: the Linux driver builds one per 4KB page of every transfer."""
 
     paddr: int
     nbytes: int
@@ -70,9 +71,9 @@ class SdmaRequestGroup:
         return sum(d.nbytes for d in self.descriptors)
 
 
-@dataclass(frozen=True)
-class TidEntry:
-    """One programmed RcvArray entry."""
+class TidEntry(NamedTuple):
+    """One programmed RcvArray entry (a named tuple, like
+    :class:`SdmaDescriptor`)."""
 
     tid: int
     ctxt_id: int

@@ -20,6 +20,7 @@ Two distinct facilities live here:
 from __future__ import annotations
 
 import bisect
+from operator import sub
 from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 import numpy as np
@@ -134,10 +135,13 @@ class FrameAllocator:
 
         Runs have geometric length with parameter ``contig_prob`` (expected
         run ``1/(1-contig_prob)``), separated by single-frame holes.  One
-        sweep over just the free intervals it takes from, O(n) in frames
-        allocated; the leftovers are spliced back in place.  Under memory
-        pressure the remainder is taken contiguously from the holes —
-        which is also what a real buddy allocator degrades to.
+        sweep over just the free intervals it takes from; the leftovers
+        are spliced back in place.  A window of one-frame free intervals
+        (the holes earlier calls left) is taken with one slice, since such
+        a run draws no coin; in a longer interval all whole runs are found
+        with two bisects.  Under memory pressure the remainder is taken
+        contiguously from the holes — which is also what a real buddy
+        allocator degrades to.
         """
         if n_frames <= 0:
             raise ReproError(f"n_frames must be positive: {n_frames}")
@@ -154,8 +158,13 @@ class FrameAllocator:
         # would (r - 1 successes, plus the failing coin unless the run hit
         # its cap), and the generator is rewound to consume just those.
         state = rng.bit_generator.state
-        fails = np.flatnonzero(rng.random(n_frames) >= contig_prob).tolist()
-        fails.append(n_frames)  # sentinel: never reached (see above)
+        fails = np.flatnonzero(rng.random(n_frames) >= contig_prob)
+        # A whole run ends at its failing coin and leaves a one-frame
+        # hole, so across whole runs ``pos - coin`` grows by one per run:
+        # the hole after the run ending at ``fails[j]`` lies at a fixed
+        # offset from ``fails[j] + j``, which is strictly increasing.
+        fail_pos = (fails + np.arange(fails.size)).tolist()
+        fails = fails.tolist()
         coin = fail = 0  # next coin to use; index into ``fails``
         extents: List[Extent] = []
         # what is left of the swept intervals: holes and tails, each a
@@ -164,31 +173,50 @@ class FrameAllocator:
         low: List[List[int]] = []   # intervals swept after wrapping round
         left = high
         need = n_frames
-        idx = rotation
+        idx, stop = rotation, len(free)
         # sweep from ``rotation`` to the end, then wrap round up to it
-        while need > 0 and (left is high or idx < rotation):
-            if idx == len(free):
-                idx, left = 0, low
+        while need > 0:
+            if idx == stop:
+                if left is low:
+                    break
+                idx, stop, left = 0, rotation, low
                 continue
             start, end = free[idx]
+            if end - start == 1:
+                # one-frame intervals: each is a capped one-frame run
+                # that uses no coin and leaves nothing behind
+                last = min(stop, idx + need)
+                nxt = idx + 1
+                while nxt < last and free[nxt][1] - free[nxt][0] == 1:
+                    nxt += 1
+                extents += [Extent(iv[0], 1) for iv in free[idx:nxt]]
+                need -= nxt - idx
+                idx = nxt
+                continue
             idx += 1
+            # Whole runs: those whose hole still lies in the interval and
+            # after which frames remain to take.  The run ending at
+            # ``fails[j]`` leaves its hole at ``base + fail_pos[j]``.
+            base = start - coin - fail + 1
+            whole = min(bisect.bisect_left(fail_pos, end - base, fail),
+                        bisect.bisect_left(fails, coin + need - 1, fail))
             pos = start
-            while pos < end and need > 0:
-                cap = min(need, end - pos)
-                successes = fails[fail] - coin
-                if successes >= cap - 1:
-                    run = cap
-                    coin += cap - 1
-                else:
-                    run = successes + 1
-                    coin += run
-                    fail += 1
+            if whole > fail:
+                holes = [base + g for g in fail_pos[fail:whole]]
+                starts = [start] + [hole + 1 for hole in holes[:-1]]
+                extents += map(Extent, starts, map(sub, holes, starts))
+                left += [[hole, hole + 1] for hole in holes]
+                need -= fails[whole - 1] + 1 - coin
+                coin, fail = fails[whole - 1] + 1, whole
+                pos = holes[-1] + 1
+            # then one capped run, to the end of the interval or of the
+            # request: its coins all succeed (the failing one is not used)
+            run = min(need, end - pos)
+            if run > 0:
                 extents.append(Extent(pos, run))
+                coin += run - 1
                 need -= run
                 pos += run
-                if pos < end and need > 0:
-                    left.append([pos, pos + 1])  # leave a hole
-                    pos += 1
             if pos < end:
                 left.append([pos, end])
         rng.bit_generator.state = state

@@ -10,6 +10,7 @@ these spans directly and builds SDMA requests up to 10KB (section 3.4).
 from __future__ import annotations
 
 import bisect
+from array import array
 from itertools import accumulate
 from operator import floordiv
 from typing import Iterable, Iterator, List, NamedTuple, Tuple
@@ -38,20 +39,20 @@ class PageTable:
 
     A *run* is a stretch that is contiguous both virtually and physically,
     made of pages of one size (4KB or 2MB) that share one pinned flag.  The
-    table is five parallel lists sorted by virtual start: start, paddr,
-    length in bytes, page size and pinned.  A scattered Linux extent is one
-    run; a McKernel extent is at most three (4KB head, 2MB middle, 4KB
-    tail).  Page-granular entries exist only as the :class:`Mapping`
-    :meth:`lookup` builds on demand; ``len()`` still counts them.
+    table is five parallel typed arrays sorted by virtual start: start,
+    paddr, length in bytes and page size as signed 64-bit integers, pinned
+    as one byte, so a run costs 33 bytes and no Python object.  A
+    scattered Linux extent is one run; a McKernel extent is at most three
+    (4KB head, 2MB middle, 4KB tail).  Page-granular entries exist only as
+    the :class:`Mapping` :meth:`lookup` builds on demand; ``len()`` still
+    counts them.  A value a 64-bit column cannot hold is a
+    :class:`ReproError`.
     """
 
     def __init__(self, owner: str = ""):
         self.owner = owner
-        self._starts: List[int] = []
-        self._paddrs: List[int] = []
-        self._lens: List[int] = []
-        self._sizes: List[int] = []
-        self._pinned: List[bool] = []
+        self._starts, self._paddrs, self._lens, self._sizes, self._pinned \
+            = _columns([])
         self._entries = 0  # page entries, for len()
 
     def __len__(self) -> int:
@@ -67,7 +68,8 @@ class PageTable:
         if vaddr % page_size or paddr % page_size:
             raise ReproError(
                 f"unaligned mapping va={vaddr:#x} pa={paddr:#x} size={page_size}")
-        self._insert([vaddr], [paddr], [page_size], [page_size], [pinned])
+        self._insert(*_columns([(vaddr, paddr, page_size, page_size,
+                                 pinned)]))
 
     def map_extents(self, vaddr: int, extents: Iterable[Extent],
                     frame_size: int = PAGE_SIZE, pinned: bool = False,
@@ -95,14 +97,15 @@ class PageTable:
         lens = [ext.count * frame_size for ext in extents if ext.count]
         starts = list(accumulate(lens, initial=vaddr))
         end = starts.pop()
-        if not use_large_pages:
-            sizes = [PAGE_SIZE] * len(lens)
-        else:
-            runs = [run for va, pa, nbytes in zip(starts, paddrs, lens)
-                    for run in _large_page_runs(va, pa, nbytes)]
-            starts, paddrs, lens, sizes = (
-                [list(col) for col in zip(*runs)] if runs else ([],) * 4)
-        self._insert(starts, paddrs, lens, sizes, [pinned] * len(lens))
+        if use_large_pages:
+            self._insert(*_columns([
+                (*run, pinned)
+                for va, pa, nbytes in zip(starts, paddrs, lens)
+                for run in _large_page_runs(va, pa, nbytes)]))
+        elif lens:
+            self._insert(_int64(starts), _int64(paddrs), _int64(lens),
+                         array("q", [PAGE_SIZE]) * len(lens),
+                         array("b", [bool(pinned)]) * len(lens))
         return end
 
     def unmap_range(self, vaddr: int, length: int) -> List[Extent]:
@@ -138,9 +141,9 @@ class PageTable:
                 (paddr - start + min(cut_hi, start + nbytes)) // PAGE_SIZE,
                 size // PAGE_SIZE)]
         # keep the parts of the end runs that lie outside the cut
-        head = self._piece(lo, starts[lo], cut_lo)
-        tail = self._piece(hi - 1, cut_hi, starts[hi - 1] + lens[hi - 1])
-        self._splice(lo, hi, *[a + b for a, b in zip(head, tail)])
+        kept = self._piece(lo, starts[lo], cut_lo) + self._piece(
+            hi - 1, cut_hi, starts[hi - 1] + lens[hi - 1])
+        self._splice(lo, hi, *_columns(kept))
         self._entries -= len(released)
         return released
 
@@ -152,7 +155,7 @@ class PageTable:
         size = self._sizes[i]
         page = vaddr - vaddr % size
         return Mapping(page, self._paddrs[i] + page - self._starts[i], size,
-                       self._pinned[i])
+                       bool(self._pinned[i]))
 
     def translate(self, vaddr: int) -> int:
         """Virtual to physical byte address."""
@@ -231,16 +234,16 @@ class PageTable:
             if i == len(starts) or starts[i] != vaddr:
                 raise PageFault(self.owner, vaddr, "no mapping")
 
-    def _piece(self, i: int, lo: int, hi: int) -> Tuple[list, ...]:
-        """Run ``i`` cut down to ``[lo, hi)`` as one-run columns (no run
-        if the piece is empty)."""
+    def _piece(self, i: int, lo: int, hi: int) -> List[_Run]:
+        """Run ``i`` cut down to ``[lo, hi)``: one run, or none if the
+        piece is empty."""
         if lo >= hi:
-            return [], [], [], [], []
-        return ([lo], [self._paddrs[i] + lo - self._starts[i]], [hi - lo],
-                [self._sizes[i]], [self._pinned[i]])
+            return []
+        return [(lo, self._paddrs[i] + lo - self._starts[i], hi - lo,
+                 self._sizes[i], self._pinned[i])]
 
-    def _insert(self, starts: List[int], paddrs: List[int], lens: List[int],
-                sizes: List[int], pinned: List[bool]) -> None:
+    def _insert(self, starts: array, paddrs: array, lens: array,
+                sizes: array, pinned: array) -> None:
         """Splice new sorted, adjacent runs into the table after checking
         the covered range against its neighbours once."""
         if not starts:
@@ -254,15 +257,37 @@ class PageTable:
         self._splice(idx, idx, starts, paddrs, lens, sizes, pinned)
         self._entries += sum(map(floordiv, lens, sizes))
 
-    def _splice(self, lo: int, hi: int, starts: List[int],
-                paddrs: List[int], lens: List[int], sizes: List[int],
-                pinned: List[bool]) -> None:
+    def _splice(self, lo: int, hi: int, starts: array, paddrs: array,
+                lens: array, sizes: array, pinned: array) -> None:
         """Replace runs ``[lo, hi)`` of every column."""
         self._starts[lo:hi] = starts
         self._paddrs[lo:hi] = paddrs
         self._lens[lo:hi] = lens
         self._sizes[lo:hi] = sizes
         self._pinned[lo:hi] = pinned
+
+
+#: one run as a row: (start, paddr, length, page size, pinned)
+_Run = Tuple[int, int, int, int, bool]
+
+
+def _int64(values: List[int]) -> array:
+    """A signed 64-bit column of ``values``; ReproError, not the array's
+    OverflowError, for a value the column cannot hold."""
+    try:
+        return array("q", values)
+    except OverflowError:
+        bad = next(v for v in values if not -2**63 <= v < 2**63)
+        raise ReproError(
+            f"{bad:#x} does not fit a 64-bit page-table column") from None
+
+
+def _columns(runs: List[_Run]) -> Tuple[array, ...]:
+    """The five typed columns of ``runs``, given as rows."""
+    starts, paddrs, lens, sizes, pinned = (
+        map(list, zip(*runs)) if runs else ([],) * 5)
+    return (_int64(starts), _int64(paddrs), _int64(lens), _int64(sizes),
+            array("b", map(bool, pinned)))
 
 
 def _large_page_runs(va: int, pa: int,

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DriverError, ReproError
-from repro.hw import Fabric, HFIDevice, Packet, SdmaDescriptor, SdmaRequestGroup
+from repro.hw import (Fabric, HFIDevice, Packet, SdmaDescriptor,
+                      SdmaRequestGroup, TidEntry)
 from repro.params import default_params
 from repro.sim import Simulator
 from repro.units import KiB
@@ -238,3 +239,25 @@ def test_irq_without_dispatcher_is_an_error():
                       dst_ctxt=0, nbytes=KiB))
     with pytest.raises(ReproError):
         dev.raise_irq(group)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (SdmaDescriptor, {"paddr": 0x4000, "nbytes": 4 * KiB}),
+    (TidEntry, {"tid": 3, "ctxt_id": 1, "paddr": 0x4000, "nbytes": 8 * KiB}),
+])
+def test_descriptor_and_tid_entry_value_contract(cls, fields):
+    """Both are named tuples: built by keyword or position, compared and
+    hashed by value, and immutable."""
+    obj = cls(**fields)
+    assert cls._fields == tuple(fields)
+    for name, value in fields.items():
+        assert getattr(obj, name) == value
+    same = cls(*fields.values())
+    assert obj == same and hash(obj) == hash(same)
+    assert len({obj, same}) == 1
+    other = cls(**{**fields, "paddr": fields["paddr"] + 4 * KiB})
+    assert obj != other
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    assert obj == cls(**fields)

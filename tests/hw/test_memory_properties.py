@@ -364,3 +364,103 @@ def test_scattered_memory_pressure_matches_scalar_draws(contig_prob):
         assert fa.alloc_scattered(n, rng, contig_prob) == expect
         assert fa.free_intervals() == expect_free
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+# --- alloc_scattered at the shape an ``apps`` pass leaves --------------------------
+
+HOLES_BEFORE, HOLES_AFTER, LONG = 1200, 1000, 4000
+#: the allocator's first frame, and where its long interval starts
+BASE = 64
+LONG_START = BASE + 2 * HOLES_BEFORE
+
+
+def apps_shaped_allocator():
+    """Free list: 1,200 one-frame holes, one 4,000-frame interval, then
+    1,000 more holes — the shape a long Linux run leaves behind, where
+    almost every free interval is a hole an earlier scatter left."""
+    total = 2 * HOLES_BEFORE + LONG + 2 * HOLES_AFTER + 1
+    fa = FrameAllocator(total, base_frame=BASE)
+    fa.alloc_contiguous(total)
+    fa.free([Extent(BASE + 2 * i, 1) for i in range(HOLES_BEFORE)]
+            + [Extent(LONG_START, LONG)]
+            + [Extent(LONG_START + LONG + 1 + 2 * i, 1)
+               for i in range(HOLES_AFTER)])
+    assert len(fa.free_intervals()) == HOLES_BEFORE + 1 + HOLES_AFTER
+    return fa
+
+
+def hole(index):
+    """The hole at free-list ``index`` before the long interval."""
+    return Extent(BASE + 2 * index, 1)
+
+
+def check_holes_only(expect, rot, n):
+    # the request ends inside the window of holes
+    assert expect == [hole(i) for i in range(rot, rot + n)]
+
+
+def check_holes_then_long(expect, rot, n):
+    # a window of holes from the rotation on, then runs in the long one
+    assert expect[:HOLES_BEFORE - rot] == [
+        hole(i) for i in range(rot, HOLES_BEFORE)]
+    assert expect[HOLES_BEFORE - rot].start == LONG_START
+
+
+def check_wrap_around(expect, rot, n):
+    # the last holes, then round to the first ones and into the long one
+    tail = HOLES_BEFORE + 1 + HOLES_AFTER - rot
+    assert expect[tail:tail + HOLES_BEFORE] == [
+        hole(i) for i in range(HOLES_BEFORE)]
+    assert expect[tail + HOLES_BEFORE].start == LONG_START
+
+
+def check_memory_pressure(expect, rot, n):
+    # the sweep ends with the hole just before the rotation; the fill
+    # then takes frames from the holes it left in the long interval
+    last = expect.index(hole(rot - 1))
+    assert last < len(expect) - 1
+    assert expect[last + 1].start > LONG_START
+
+
+#: (rotation predicate, request size, check that the named path ran)
+APPS_SHAPED_CASES = {
+    # lands inside the first holes and ends there
+    "holes-only": (lambda rot: 100 <= rot < HOLES_BEFORE - 100,
+                   lambda fa, rot: 50, check_holes_only),
+    # lands inside the first holes: a window, then into the long interval
+    "holes-then-long": (lambda rot: 100 <= rot < HOLES_BEFORE - 100,
+                        lambda fa, rot: HOLES_BEFORE - rot + LONG // 3,
+                        check_holes_then_long),
+    # lands inside the last holes: runs off the end, wraps round to the
+    # first holes and on into the long interval
+    "wrap-around": (lambda rot: rot > HOLES_BEFORE + 100,
+                    lambda fa, rot: (HOLES_BEFORE + 1 + HOLES_AFTER - rot)
+                    + HOLES_BEFORE + LONG // 4,
+                    check_wrap_around),
+    # asks for almost every free frame: the sweep runs out and the rest
+    # is filled from the holes it left
+    "memory-pressure": (lambda rot: 100 <= rot < HOLES_BEFORE,
+                        lambda fa, rot: fa.free_frames - 3,
+                        check_memory_pressure),
+}
+
+
+@pytest.mark.parametrize("contig_prob", CONTIG_PROBS)
+@pytest.mark.parametrize("case", sorted(APPS_SHAPED_CASES))
+def test_scattered_matches_scalar_draws_at_apps_shape(case, contig_prob):
+    lands, size, took_path = APPS_SHAPED_CASES[case]
+    fa = apps_shaped_allocator()
+    before = fa.free_intervals()
+    rotations = {s: int(np.random.default_rng(s).integers(0, len(before)))
+                 for s in range(100)}
+    seed = next(s for s, rot in rotations.items() if lands(rot))
+    n = size(fa, rotations[seed])
+    rng = np.random.default_rng(seed)
+    ref_rng = np.random.default_rng(seed)
+    expect, expect_free = reference_scattered(before, n, ref_rng,
+                                              contig_prob)
+    took_path(expect, rotations[seed], n)
+    assert fa.alloc_scattered(n, rng, contig_prob) == expect
+    assert fa.free_intervals() == expect_free
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_well_formed(fa)

@@ -1,6 +1,7 @@
 """Unit and property tests for page tables and physical-span iteration."""
 
 import bisect
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -480,3 +481,74 @@ def test_unmap_inside_a_run_splits_it():
                                 (va + 5, 10),
                                 (va + PAGE_SIZE, 10),
                                 (2 * LARGE_PAGE_SIZE + PAGE_SIZE, 100)])
+
+
+# --- typed columns ---------------------------------------------------------------
+
+INT64_MAX = 2**63 - 1
+
+
+def test_values_beyond_int64_raise_repro_error():
+    """A value a 64-bit column cannot hold is the simulator's error, not
+    the array's ``OverflowError``, and leaves the table unchanged."""
+    pt = PageTable("test")
+    pt.map_extents(0, [Extent(7, 2)])
+    before = entries(pt)
+    too_far = (INT64_MAX + 1) // PAGE_SIZE  # first page past the range
+    bad_maps = [
+        lambda: pt.map_page(too_far * PAGE_SIZE, 0),                # vaddr
+        lambda: pt.map_page(0x10000, too_far * PAGE_SIZE),          # paddr
+        lambda: pt.map_extents(too_far * PAGE_SIZE, [Extent(1, 1)]),
+        lambda: pt.map_extents(0x10000, [Extent(too_far, 1)]),
+        lambda: pt.map_extents(0x10000, [Extent(1, too_far)]),      # length
+        lambda: pt.map_extents(0x10000, [Extent(1, 1), Extent(too_far, 1)],
+                               use_large_pages=True),
+        # the second run's start is one past the int64 range
+        lambda: pt.map_extents((too_far - 1) * PAGE_SIZE,
+                               [Extent(1, 1), Extent(3, 1)]),
+    ]
+    for bad in bad_maps:
+        with pytest.raises(ReproError) as info:
+            bad()
+        assert not isinstance(info.value, OverflowError)
+        assert entries(pt) == before
+    # the last page of the range still fits
+    pt.map_page((too_far - 1) * PAGE_SIZE, 0x40000)
+    assert pt.translate(INT64_MAX) == 0x40000 + PAGE_SIZE - 1
+
+
+def test_lookup_reports_pinned_as_bool():
+    pt = PageTable("test")
+    pt.map_extents(0, [Extent(7, 1)], pinned=True)
+    pt.map_page(PAGE_SIZE, 0x10000, PAGE_SIZE, pinned=False)
+    pt.map_extents(LARGE_PAGE_SIZE, [Extent(LP_FRAMES, LP_FRAMES)],
+                   pinned=True, use_large_pages=True)
+    for vaddr, flag in ((0, True), (PAGE_SIZE, False),
+                        (LARGE_PAGE_SIZE, True)):
+        assert pt.lookup(vaddr).pinned is flag
+    # and after an unmap splits a run
+    pt.unmap_range(0, PAGE_SIZE)
+    assert pt.lookup(PAGE_SIZE).pinned is False
+
+
+def test_scattered_runs_cost_at_most_48_bytes_each():
+    """50,000 one-frame runs, mapped the way the Linux personality maps
+    them (one batch per buffer), in typed columns: 33 bytes a run plus
+    the arrays' growth slack.  Five lists of ints cost about 140."""
+    runs = 50_000
+    batches = [[Extent(3 * (b * 1000 + i) + 1, 1) for i in range(1000)]
+               for b in range(runs // 1000)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pt = PageTable("footprint")
+        vaddr = 0x10000
+        for batch in batches:
+            vaddr = pt.map_extents(vaddr, batch)
+        cost = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pt) == runs
+    assert pt.phys_spans(0x10000, 2 * PAGE_SIZE) == [
+        (PAGE_SIZE, PAGE_SIZE), (4 * PAGE_SIZE, PAGE_SIZE)]
+    assert cost / runs <= 48
